@@ -1,50 +1,43 @@
 // slot_pipeline — per-phase timing of the emulator's slot data path, the
-// telemetry overhead contract, and the full-vs-delta pipeline comparison.
+// telemetry overhead contract, and the delta build's identity check.
 //
-// Runs one scenario end to end in five passes:
-//   pass 1 (full, telemetry off)  — no sink, no spans: the slot loop performs
-//     zero timestamp syscalls; wall time brackets the whole loop;
-//   pass 2 (full, telemetry on)   — span recorder enabled, counters sampled,
+// Runs one scenario end to end in three arms (four runs):
+//   overhead arm — pass 1 (telemetry off): no sink, no spans, so the slot
+//     loop performs zero timestamp syscalls and wall time brackets the whole
+//     loop; pass 2 (telemetry on): span recorder enabled, counters sampled,
 //     per-slot JSONL streamed into an in-memory sink (memory, not disk, so
-//     the ≤2% overhead bar measures the telemetry layer, not the filesystem);
-//   pass 3 (delta, telemetry off) — incremental problem builds
-//     (delta_build), same solver configuration as pass 1: required to hash
-//     bit-identical to pass 1 (`delta_identical`, exit 1 on divergence, any
-//     toolchain);
-//   pass 4 (delta+warm, telemetry off) — the whole delta pipeline: delta
-//     builds plus cross-slot solver state reuse (warm_start_slots). Its wall
-//     time against pass 1 defines `delta_speedup`. Warm starts change
-//     schedules on purpose; those are pinned by their own goldens
-//     (vod::golden_warm_slots_*), not compared here;
-//   pass 5 (delta+warm, telemetry on) — per-phase table for the delta
-//     pipeline and the delta counters (dirty/reused rows, early-exit slots).
-//
-// Both full passes must produce bit-identical schedules (golden hashes
-// compared across passes — exit 1 on divergence, any toolchain) and, on the
-// golden toolchain, must match the committed pre-refactor golden.
+//     the ≤2% overhead bar measures the telemetry layer, not the
+//     filesystem). The two passes must hash bit-identical (telemetry never
+//     steers) and, on the golden toolchain, match the pre-refactor golden;
+//   identity arm — pass 3 (delta_shadow_check): every round's incremental
+//     build is compared bit for bit with the reference full rebuild, and the
+//     run must hash identical to pass 1 (`delta_identical`; exit 1 on
+//     divergence, any toolchain);
+//   warm arm — pass 4 (warm_start = slots): prices carried across slots
+//     with the collapsed ε ladder. Warm starts change schedules on purpose;
+//     on economy_smoke the run is checked against its own golden
+//     (vod::golden_warm_slots_economy).
 //
 // The per-phase table comes from pass 2's spans, reported next to the
 // *pre-refactor* measurement of the same scenario captured before the
-// dense-peer-table + incremental-tracker refactor; a second table compares
-// pass 2 against pass 5 phase by phase.
+// dense-peer-table + incremental-tracker refactor.
 //
 // Usage: slot_pipeline [--scenario NAME]   (default: metro_5k)
 //
-// Phase times are thread-independent (the emulator is single-threaded), so
-// the speedups hold on any host; the committed artifact was produced on a
-// 1-core container (hardware_concurrency recorded in the artifact).
+// The emulator is single-threaded, so phase times do not depend on the
+// host's core count (hardware_concurrency is recorded in the artifact).
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.h"
+#include "common/contracts.h"
 #include "metrics/process_stats.h"
 #include "obs/jsonl_sink.h"
-#include "vod/pipeline_golden.h"
+#include "pipeline_golden.h"
 
 namespace {
 
@@ -58,7 +51,7 @@ struct scenario_baseline {
 // Captured 2026-07-31 from the pre-refactor emulator (PR 4 head, commit
 // e4073a5) instrumented with the same phase_clock, GCC 12 / x86-64,
 // 1-core container, default emulator options. The corresponding golden
-// hashes live in the shared spec, vod::golden_runs (pipeline_golden.h).
+// hashes live in the shared spec, vod::golden_runs (tests/pipeline_golden.h).
 constexpr scenario_baseline baselines[] = {
     {"metro_5k",
      {.arrivals = 0.000002,
@@ -99,8 +92,8 @@ struct pass_result {
     std::size_t peers_final = 0;
 };
 
-// One full telemetry-off run of the scenario; hashes every slot's metrics
-// and neighbor arena into the pass result. Wall time brackets the slot loop
+// One telemetry-off run of the scenario; hashes every slot's metrics and
+// neighbor arena into the pass result. Wall time brackets the slot loop
 // only (not construction), so all passes compare the same code region.
 pass_result run_pass(p2pcd::vod::emulator_options opts, std::size_t num_slots) {
     using clock = std::chrono::steady_clock;
@@ -155,23 +148,24 @@ int main(int argc, char** argv) {
                 scenario.c_str(), num_slots,
                 std::thread::hardware_concurrency());
 
-    // Pass 1: full rebuilds, telemetry off. The slot loop reads no clock;
-    // only the bracket around the whole loop is timed.
-    std::printf("pass 1/5: full build, telemetry off...\n");
+    // Pass 1: telemetry off. The slot loop reads no clock; only the bracket
+    // around the whole loop is timed.
+    std::printf("pass 1/4: telemetry off...\n");
     const pass_result off = run_pass(opts, num_slots);
 
-    // Pass 2: full rebuilds, telemetry on — spans + counters + per-slot
-    // JSONL into memory. Runs second so allocator warm-up (if any) favors
-    // neither direction of the overhead comparison's numerator.
-    std::printf("pass 2/5: full build, telemetry on (spans + counters + JSONL)...\n");
+    // Pass 2: telemetry on — spans + counters + per-slot JSONL into memory.
+    // Runs second so allocator warm-up (if any) favors neither direction of
+    // the overhead comparison's numerator.
+    std::printf("pass 2/4: telemetry on (spans + counters + JSONL)...\n");
+    vod::emulator_options on_opts = opts;
     std::ostringstream telemetry_out;
     obs::jsonl_sink sink(telemetry_out);
-    opts.telemetry.sink = &sink;
-    opts.telemetry.record_spans = true;
+    on_opts.telemetry.sink = &sink;
+    on_opts.telemetry.record_spans = true;
 
     double rss_post_construct = 0.0;
     double rss_mid_run = 0.0;
-    vod::emulator emu_on(opts);
+    vod::emulator emu_on(on_opts);
     rss_post_construct = metrics::current_rss_mb();
     pass_result on;
     {
@@ -194,35 +188,27 @@ int main(int argc, char** argv) {
     const slot_phase_totals post = emu_on.phase_totals();
     const scenario_baseline* base = baseline_for(scenario);
 
-    // Pass 3: delta builds, same (cold) solver configuration as pass 1 —
-    // the bit-identity arm of the comparison.
-    std::printf("pass 3/5: delta build, telemetry off (identity arm)...\n");
-    vod::emulator_options delta_opts;
-    delta_opts.config = workload::builtin_scenarios().make(scenario);
-    delta_opts.delta_build = true;
-    const pass_result dcold = run_pass(delta_opts, num_slots);
-    const bool delta_identical = dcold.h_metrics == off.h_metrics &&
-                                 dcold.h_neighbors == off.h_neighbors;
-
-    // Pass 4: the whole delta pipeline — incremental builds plus cross-slot
-    // solver state reuse. This arm defines delta_speedup.
-    std::printf("pass 4/5: delta build + warm slot reuse, telemetry off...\n");
-    delta_opts.warm_start_slots = true;
-    const pass_result dwarm = run_pass(delta_opts, num_slots);
-
-    // Pass 5: delta pipeline again with spans + counters, for the per-phase
-    // delta table and the dirty/reused/early-exit counters.
-    std::printf("pass 5/5: delta build + warm slot reuse, telemetry on...\n");
-    std::ostringstream delta_telemetry_out;
-    obs::jsonl_sink delta_sink(delta_telemetry_out);
-    delta_opts.telemetry.sink = &delta_sink;
-    delta_opts.telemetry.record_spans = true;
-    vod::emulator emu_delta(delta_opts);
-    for (std::size_t k = 0; k < num_slots; ++k) {
-        emu_delta.step();
+    // Pass 3: the identity arm. The shadow check throws on the first round
+    // whose incremental build differs from the reference rebuild.
+    std::printf("pass 3/4: delta build shadow-checked against the full rebuild...\n");
+    vod::emulator_options shadow_opts = opts;
+    shadow_opts.delta_shadow_check = true;
+    pass_result shadow;
+    bool shadow_ok = true;
+    try {
+        shadow = run_pass(shadow_opts, num_slots);
+    } catch (const contract_violation& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        shadow_ok = false;
     }
-    delta_sink.flush();
-    const slot_phase_totals delta_phases = emu_delta.phase_totals();
+    const bool delta_identical = shadow_ok && shadow.h_metrics == off.h_metrics &&
+                                 shadow.h_neighbors == off.h_neighbors;
+
+    // Pass 4: the warm arm — cross-slot price carry-over.
+    std::printf("pass 4/4: warm_start = slots...\n");
+    vod::emulator_options warm_opts = opts;
+    warm_opts.warm_start = vod::warm_start_mode::slots;
+    const pass_result warm = run_pass(warm_opts, num_slots);
 
     metrics::json_report rep("slot_pipeline");
     rep.add_scalar("scenario", scenario);
@@ -251,40 +237,27 @@ int main(int argc, char** argv) {
         {"shed", &slot_phase_totals::shed},
     };
 
+    // Coarse clocks can report 0.0 for a micro-scale phase; report a 0
+    // speedup rather than an infinity the JSON writer rejects.
+    auto ratio = [](double pre, double now) {
+        return now > 0.0 && pre > 0.0 ? pre / now : 0.0;
+    };
     metrics::table t({"phase", "pre_seconds", "post_seconds", "speedup"});
-    auto add_phase = [&](metrics::table& table, const char* name, double pre,
-                         double now) {
-        const double speedup = now > 0.0 && pre > 0.0 ? pre / now : 0.0;
-        table.add_row({name, metrics::format_double(pre, 6),
-                       metrics::format_double(now, 6),
-                       metrics::format_double(speedup, 2)});
+    auto add_phase = [&](const char* name, double pre, double now) {
+        t.add_row({name, metrics::format_double(pre, 6),
+                   metrics::format_double(now, 6),
+                   metrics::format_double(ratio(pre, now), 2)});
     };
     for (const auto& row : phase_rows)
-        add_phase(t, row.name, base != nullptr ? base->phases.*(row.field) : 0.0,
+        add_phase(row.name, base != nullptr ? base->phases.*(row.field) : 0.0,
                   post.*(row.field));
-    add_phase(t, "non_solve_total",
-              base != nullptr ? base->phases.non_solve() : 0.0, post.non_solve());
-    add_phase(t, "total", base != nullptr ? base->phases.total() : 0.0,
-              post.total());
+    add_phase("non_solve_total", base != nullptr ? base->phases.non_solve() : 0.0,
+              post.non_solve());
+    add_phase("total", base != nullptr ? base->phases.total() : 0.0, post.total());
     t.print(std::cout);
     rep.add_table("phases", t);
 
-    // Full vs delta pipeline, phase by phase (both from telemetry-on runs).
-    metrics::table dt({"phase", "full_seconds", "delta_seconds", "speedup"});
-    for (const auto& row : phase_rows)
-        add_phase(dt, row.name, post.*(row.field), delta_phases.*(row.field));
-    add_phase(dt, "non_solve_total", post.non_solve(), delta_phases.non_solve());
-    add_phase(dt, "total", post.total(), delta_phases.total());
-    std::printf("\n");
-    dt.print(std::cout);
-    rep.add_table("delta_phases", dt);
-
     if (base != nullptr) {
-        // Coarse clocks can report 0.0 for a micro-scale phase; report a 0
-        // speedup rather than an infinity the JSON writer rejects.
-        auto ratio = [](double pre, double now) {
-            return now > 0.0 && pre > 0.0 ? pre / now : 0.0;
-        };
         rep.add_scalar("neighbor_refresh_speedup",
                        ratio(base->phases.neighbor_refresh, post.neighbor_refresh));
         rep.add_scalar("non_solve_speedup",
@@ -312,74 +285,53 @@ int main(int argc, char** argv) {
     std::printf("telemetry stream: %" PRIu64 " lines, %" PRIu64 " bytes\n",
                 sink.lines_written(), sink.bytes_written());
 
-    // The delta pipeline contract: bit-identity against the full rebuild at
-    // equal solver configuration, and total-slot-time speedup once cross-slot
-    // solver reuse is enabled on top.
-    const auto ratio_of = [](double pre, double now) {
-        return now > 0.0 && pre > 0.0 ? pre / now : 0.0;
-    };
-    const double delta_speedup = ratio_of(off.wall_seconds, dwarm.wall_seconds);
-    const double delta_cold_speedup =
-        ratio_of(off.wall_seconds, dcold.wall_seconds);
     rep.add_scalar("delta_identical", delta_identical);
-    rep.add_scalar("delta_speedup", delta_speedup);
-    rep.add_scalar("delta_cold_speedup", delta_cold_speedup);
-    rep.add_scalar("slot_time_delta_cold_s", dcold.wall_seconds);
-    rep.add_scalar("slot_time_delta_s", dwarm.wall_seconds);
-    std::printf(
-        "\ndelta pipeline: full %.3f s, delta(cold) %.3f s (%.2fx), "
-        "delta+warm %.3f s (%.2fx) — schedules %s\n",
-        off.wall_seconds, dcold.wall_seconds, delta_cold_speedup,
-        dwarm.wall_seconds, delta_speedup,
-        delta_identical ? "IDENTICAL" : "DIVERGED");
+    rep.add_scalar("slot_time_shadow_s", shadow.wall_seconds);
+    rep.add_scalar("slot_time_warm_s", warm.wall_seconds);
+    std::printf("\ndelta build vs full rebuild (shadow-checked, %.3f s): %s\n",
+                shadow.wall_seconds, delta_identical ? "IDENTICAL" : "DIVERGED");
+    std::printf("warm_start = slots: %.3f s\n", warm.wall_seconds);
 
     // The counter registry (cache behavior, tracker maintenance, solver
-    // work) — the full pass feeds the legacy counter.* keys; the delta.*
-    // counters come from the delta-pipeline pass (they are zero on the full
-    // path by construction).
+    // work, delta-build rows) of the telemetry-on pass.
     obs::counter_registry& counters = emu_on.counters();
-    obs::counter_registry& delta_counters = emu_delta.counters();
-    metrics::table ct({"counter", "full", "delta"});
+    metrics::table ct({"counter", "value"});
     for (std::size_t i = 0; i < counters.entries().size(); ++i) {
         const auto& e = counters.entries()[i];
-        const bool is_counter = e.kind == obs::metric_kind::counter;
-        const std::string full_value =
-            is_counter ? std::to_string(counters.counter_at(i))
-                       : metrics::format_double(counters.gauge_at(i), 0);
-        const std::string delta_value =
-            is_counter ? std::to_string(delta_counters.counter_at(i))
-                       : metrics::format_double(delta_counters.gauge_at(i), 0);
-        ct.add_row({e.name, full_value, delta_value});
-        const bool delta_counter = e.name.rfind("delta.", 0) == 0;
-        obs::counter_registry& source = delta_counter ? delta_counters : counters;
-        if (is_counter)
-            rep.add_scalar("counter." + e.name,
-                           static_cast<double>(source.counter_at(i)));
-        else
-            rep.add_scalar("counter." + e.name, source.gauge_at(i));
+        const double value = e.kind == obs::metric_kind::counter
+                                 ? static_cast<double>(counters.counter_at(i))
+                                 : counters.gauge_at(i);
+        ct.add_row({e.name, metrics::format_double(value, 0)});
+        rep.add_scalar("counter." + e.name, value);
     }
     std::printf("\n");
     ct.print(std::cout);
 
-    // Schedule equivalence: both full passes against each other (telemetry
-    // may never change a schedule — enforced on every toolchain), and
-    // against the pre-refactor golden when known.
+    // Schedule equivalence: both overhead passes against each other
+    // (telemetry may never change a schedule — enforced on every
+    // toolchain), and against the pre-refactor golden when known.
     const bool passes_agree =
         off.h_metrics == on.h_metrics && off.h_neighbors == on.h_neighbors;
     const vod::golden_run_hashes* golden = vod::golden_for(scenario);
     bool golden_known = golden != nullptr;
     bool golden_ok = golden_known && on.h_metrics == golden->metrics &&
                      on.h_neighbors == golden->neighbors;
+    const vod::golden_run_hashes& warm_golden = vod::golden_warm_slots_economy;
+    const bool warm_golden_known = scenario == warm_golden.scenario;
+    const bool warm_golden_ok = warm_golden_known &&
+                                warm.h_metrics == warm_golden.metrics &&
+                                warm.h_neighbors == warm_golden.neighbors;
     char hash_hex[32];
     std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, on.h_metrics);
     rep.add_scalar("metrics_hash", hash_hex);
     std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, on.h_neighbors);
     rep.add_scalar("neighbors_hash", hash_hex);
-    std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, dwarm.h_metrics);
-    rep.add_scalar("delta_warm_metrics_hash", hash_hex);
+    std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, warm.h_metrics);
+    rep.add_scalar("warm_metrics_hash", hash_hex);
     rep.add_scalar("telemetry_schedule_identical", passes_agree);
     rep.add_scalar("golden_known", golden_known);
     rep.add_scalar("golden_ok", golden_ok);
+    if (warm_golden_known) rep.add_scalar("warm_golden_ok", warm_golden_ok);
 
     std::printf("\nnon-solve slot time: %.3f s (pre %.3f s)\n", post.non_solve(),
                 base != nullptr ? base->phases.non_solve() : 0.0);
@@ -388,6 +340,9 @@ int main(int argc, char** argv) {
     if (golden_known)
         std::printf("schedules %s pre-refactor golden\n",
                     golden_ok ? "MATCH" : "DIVERGED from");
+    if (warm_golden_known)
+        std::printf("warm schedules %s warm-slots golden\n",
+                    warm_golden_ok ? "MATCH" : "DIVERGED from");
 
     bench::write_artifact("slot_pipeline", rep);
 
@@ -401,20 +356,20 @@ int main(int argc, char** argv) {
     if (!delta_identical) {
         std::fprintf(stderr,
                      "error: delta build diverged from the full rebuild "
-                     "(full metrics %016" PRIx64 " vs delta %016" PRIx64 ")\n",
-                     off.h_metrics, dcold.h_metrics);
+                     "(metrics %016" PRIx64 " vs shadow-checked %016" PRIx64 ")\n",
+                     off.h_metrics, shadow.h_metrics);
         return 1;
     }
     // The golden constants pin exact IEEE doubles; only fail hard on the
     // toolchain family they were captured with — mirroring
     // tests/slot_golden_test.cpp.
     constexpr bool golden_enforced = vod::golden_toolchain;
-    if (golden_known && !golden_ok) {
+    if ((golden_known && !golden_ok) || (warm_golden_known && !warm_golden_ok)) {
         std::fprintf(stderr,
-                     "%s: run diverged from the pre-refactor golden "
-                     "(metrics %016" PRIx64 " neighbors %016" PRIx64 ")\n",
+                     "%s: run diverged from its golden (metrics %016" PRIx64
+                     " neighbors %016" PRIx64 ", warm metrics %016" PRIx64 ")\n",
                      golden_enforced ? "error" : "note (unenforced toolchain)",
-                     on.h_metrics, on.h_neighbors);
+                     on.h_metrics, on.h_neighbors, warm.h_metrics);
         if (golden_enforced) return 1;
     }
     return 0;

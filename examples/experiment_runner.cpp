@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
         else if (flag == "--swarms") swarms_override = std::stoul(next());
         else if (flag == "--rounds") opts.bid_rounds_per_slot = std::stoul(next());
         else if (flag == "--epsilon") opts.auction.bidding.epsilon = std::stod(next());
-        else if (flag == "--warm-rounds") opts.warm_start_rounds = true;
+        else if (flag == "--warm-rounds") opts.warm_start = vod::warm_start_mode::rounds;
         else if (flag == "--csv") csv_path = next();
         else if (flag == "--telemetry-out") telemetry_path = next();
         else if (flag == "--telemetry-every") telemetry_every = std::stoul(next());

@@ -22,12 +22,9 @@ auction_solver::auction_solver(auction_options options) : options_(options) {
 
 // One complete Gauss-Seidel auction at a fixed ε, warm-started from `prices`
 // (all zero on a cold first/only phase). Returns per-seller final prices
-// through the same vector. With `fill_flat_arrays` set (first phase of a
-// solve), the fresh sweep populates the dense v − w array from the cost slab
-// as it first touches each row — one pass instead of two.
+// through the same vector.
 void auction_solver::run_phase(const problem_view& problem, double epsilon,
-                               std::vector<double>& prices, auction_result& result,
-                               bool fill_flat_arrays) {
+                               std::vector<double>& prices, auction_result& result) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
     const auto uploaders = problem.all_uploaders();
@@ -56,23 +53,19 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     std::uint64_t iterations = 0;
 
     // Raw CSR arrays for the hot loop — no per-iteration bounds checks. The
-    // uploader indices come straight from the problem's u32 SoA slab.
+    // uploader indices and costs come straight from the problem's SoA slabs:
+    // each margin is evaluated as (v − w) − λ, the same expression (and so
+    // the same doubles) as auction-par and the dual recovery below.
     const std::uint32_t* offsets = problem.offsets().data();
     const std::uint32_t* uploader_of = problem.cand_uploaders().data();
     const double* cand_costs = problem.cand_costs().data();
     const request_info* all_requests = problem.all_requests().data();
-    double* net_values = net_values_.data();
     const double* price_cache = price_cache_.data();
 
     while (true) {
         std::size_t r;
         if (next_fresh < nr) {
             r = next_fresh++;
-            if (fill_flat_arrays) {
-                const double v = all_requests[r].valuation;
-                for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-                    net_values[k] = v - cand_costs[k];
-            }
         } else {
             if (queue_head == queue_.size()) {
                 // Wake parked bidders that have seen a price change.
@@ -97,8 +90,10 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
         }
 
         const std::uint32_t* cand_uploader = uploader_of + base;
+        const double* cost = cand_costs + base;
+        const double v = all_requests[r].valuation;
         bid_decision decision = compute_bid_with(
-            n_cands, net_values + base,
+            n_cands, [&](std::size_t i) { return v - cost[i]; },
             [&](std::size_t i) { return price_cache[cand_uploader[i]]; }, bidding);
 
         switch (decision.action) {
@@ -180,13 +175,6 @@ auction_result auction_solver::run(const problem_view& problem,
     expects(initial_prices.empty() || initial_prices.size() == nu,
             "initial price vector must cover every uploader");
 
-    // v − w is invariant across the whole solve. The array is sized here and
-    // filled lazily by the first phase's fresh sweep, which touches every
-    // row anyway.
-    const std::uint32_t* offsets = problem.offsets().data();
-    const std::uint32_t* cand_up = problem.cand_uploaders().data();
-    net_values_.resize(problem.num_candidates());
-
     // The ε schedule: a single phase normally; a geometric descent from the
     // initial ε down to the target when scaling is on. A warm start from a
     // converged solve may collapse the ladder to the target rung outright —
@@ -209,7 +197,7 @@ auction_result auction_solver::run(const problem_view& problem,
         std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
     for (std::size_t k = 0; k < schedule.size(); ++k) {
         auction_result phase;
-        run_phase(problem, schedule[k], prices, phase, /*fill_flat_arrays=*/k == 0);
+        run_phase(problem, schedule[k], prices, phase);
         // Counters accumulate across phases; the schedule of the last phase
         // is the answer.
         phase.bids_submitted += result.bids_submitted;
@@ -243,7 +231,7 @@ auction_result auction_solver::run(const problem_view& problem,
     last_run_converged_ = result.converged;
     // Dual recovery (skippable — schedule-only consumers never read η). With
     // zero-capacity uploaders present the general helper handles their price
-    // lift; the common all-positive case reuses the flat v − w array
+    // lift; the common all-positive case sweeps the slabs directly
     // (identical arithmetic: (v − w) − λ in both paths).
     if (options_.compute_request_utilities) {
         bool any_zero_capacity = false;
@@ -252,11 +240,16 @@ auction_result auction_solver::run(const problem_view& problem,
         if (any_zero_capacity) {
             result.request_utility = derive_request_utilities(problem, result.prices);
         } else {
+            const std::uint32_t* offsets = problem.offsets().data();
+            const std::uint32_t* cand_up = problem.cand_uploaders().data();
+            const double* cand_costs = problem.cand_costs().data();
+            const auto requests = problem.all_requests();
             result.request_utility.assign(nr, 0.0);
             for (std::size_t r = 0; r < nr; ++r) {
+                const double v = requests[r].valuation;
                 double best = 0.0;
                 for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-                    double margin = net_values_[k] - result.prices[cand_up[k]];
+                    double margin = v - cand_costs[k] - result.prices[cand_up[k]];
                     if (margin > best) best = margin;
                 }
                 result.request_utility[r] = best;
@@ -304,7 +297,6 @@ void auction_solver::shed_memory() {
     std::vector<auctioneer>().swap(sellers_);
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
-    std::vector<double>().swap(net_values_);
     std::vector<double>().swap(price_cache_);
     std::vector<std::int64_t>().swap(used_scratch_);
 }
@@ -313,7 +305,6 @@ std::size_t auction_solver::workspace_bytes() const {
     std::size_t bytes = sellers_.capacity() * sizeof(auctioneer) +
                         queue_.capacity() * sizeof(std::size_t) +
                         parked_.capacity() * sizeof(parked_entry) +
-                        net_values_.capacity() * sizeof(double) +
                         price_cache_.capacity() * sizeof(double) +
                         used_scratch_.capacity() * sizeof(std::int64_t);
     for (const auto& s : sellers_) bytes += s.heap_bytes();

@@ -10,8 +10,10 @@
 //    instances when ε < 1/(#requests).
 //
 // The solver is long-lived: auctioneer heaps, the bidding queue and the
-// flat net-value scratch persist across run()/solve() calls, so repeated
-// solves on similarly-sized problems allocate ~nothing. run() may also be
+// dense price cache persist across run()/solve() calls, so repeated solves
+// on similarly-sized problems allocate ~nothing. Its workspace is per
+// uploader and per queued request only: bids read v − w straight off the
+// problem's cost slab, so nothing per candidate is copied. run() may also be
 // warm-started from a previous round's prices (Sec. IV-C's slot price cycle),
 // mirroring what vod::auction_runtime does with its `initial_prices`.
 #ifndef P2PCD_CORE_AUCTION_H
@@ -55,14 +57,14 @@ struct auction_options {
     bool record_phase_trace = false;
 
     // Dual recovery (η per request) is a full candidate sweep per solve.
-    // Consumers that only read the schedule and λ (the emulator's delta
-    // pipeline) turn it off; `result.request_utility` comes back empty.
-    // Never changes the schedule or the prices.
+    // Consumers that only read the schedule and λ (the emulator) turn it
+    // off; `result.request_utility` comes back empty. Never changes the
+    // schedule or the prices.
     bool compute_request_utilities = true;
 
     // Cross-slot solver reuse: when a solve is warm-started from prices of a
     // converged solve on a near-identical instance (the emulator's
-    // `warm_start_slots` mode), the warm prices already satisfy ε-CS almost
+    // warm_start_mode::slots), the warm prices already satisfy ε-CS almost
     // everywhere, so the coarse rungs of the ε ladder only re-derive what the
     // previous slot knew. With this flag the ladder collapses to the target ε
     // whenever warm prices are present and the previous run() converged —
@@ -131,7 +133,7 @@ public:
     // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
     // empty = cold start). With ε-scaling enabled only the first phase is
     // warm-started. The emulator threads a slot's prices through its bidding
-    // rounds this way when `warm_start_rounds` is on.
+    // rounds this way when its warm_start option is on.
     [[nodiscard]] auction_result run(const problem_view& problem,
                                      std::span<const double> initial_prices);
 
@@ -144,8 +146,7 @@ public:
 
 private:
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result,
-                   bool fill_flat_arrays);
+                   std::vector<double>& prices, auction_result& result);
 
     auction_options options_;
     // Whether the previous run() reached ε-CS — the warm_start_early_exit
@@ -162,10 +163,6 @@ private:
         std::uint64_t price_version;
     };
     std::vector<parked_entry> parked_;
-    // v − w per candidate, flat in CSR order — invariant across one solve.
-    // (Each candidate's uploader index is read straight from the problem's
-    // u32 SoA slab — no mirror copy needed.)
-    std::vector<double> net_values_;
     // λ per uploader, mirrored out of the auctioneers into one dense array
     // (+inf for zero capacity): the per-bid gather reads this, not the
     // auctioneer objects.

@@ -48,15 +48,16 @@ struct bid_decision {
     double second_margin = 0.0;  // φ̂ (includes the outside option 0)
 };
 
-// Core of the bidding rule over `n` candidates: `net_values[i]` = v − w for
+// Core of the bidding rule over `n` candidates: `net_at(i)` = v − w for
 // candidate i, `price_at(i)` = λ of candidate i's uploader (+inf marks an
-// uploader that cannot sell, e.g. zero capacity). Templated on the price
-// accessor so the synchronous solver can gather prices straight out of its
-// dense per-uploader cache — this is the innermost operation of every
-// auction, called once per bid iteration, and must stay inline.
-template <typename PriceAt>
-[[nodiscard]] inline bid_decision compute_bid_with(std::size_t n,
-                                                   const double* net_values,
+// uploader that cannot sell, e.g. zero capacity); the margin is
+// net_at(i) − price_at(i). Templated on both accessors so the synchronous
+// solver can evaluate v − w straight off the problem's cost slab and gather
+// prices out of its dense per-uploader cache — this is the innermost
+// operation of every auction, called once per bid iteration, and must stay
+// inline.
+template <typename NetAt, typename PriceAt>
+[[nodiscard]] inline bid_decision compute_bid_with(std::size_t n, NetAt&& net_at,
                                                    PriceAt&& price_at,
                                                    const bidder_options& options) {
     bid_decision decision;
@@ -66,7 +67,7 @@ template <typename PriceAt>
     double second = neg_inf;
     std::size_t best_index = SIZE_MAX;
     for (std::size_t i = 0; i < n; ++i) {
-        double margin = net_values[i] - price_at(i);
+        double margin = net_at(i) - price_at(i);
         if (margin > best) {
             second = best;
             best = margin;
@@ -112,7 +113,7 @@ template <typename PriceAt>
     expects(net_values.size() == prices.size(),
             "net value and price arrays must be parallel");
     return compute_bid_with(
-        net_values.size(), net_values.data(),
+        net_values.size(), [&](std::size_t i) { return net_values[i]; },
         [&](std::size_t i) { return prices[i]; }, options);
 }
 

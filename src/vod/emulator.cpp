@@ -42,13 +42,11 @@ emulator::emulator(emulator_options options)
     core::scheduler_params params;
     params.auction = options_.auction;
     params.parallel_auction = options_.parallel_auction;
-    if (options_.delta_build) {
-        // Nothing in the slot loop reads request utilities; the delta
-        // pipeline skips the solvers' dual-recovery sweep outright.
-        params.auction.compute_request_utilities = false;
-        params.parallel_auction.compute_request_utilities = false;
-    }
-    if (options_.warm_start_slots) {
+    // Nothing in the slot loop reads request utilities: skip the solvers'
+    // dual-recovery sweep outright.
+    params.auction.compute_request_utilities = false;
+    params.parallel_auction.compute_request_utilities = false;
+    if (options_.warm_start == warm_start_mode::slots) {
         params.auction.warm_start_early_exit = true;
         params.parallel_auction.warm_start_early_exit = true;
     }
@@ -63,6 +61,10 @@ emulator::emulator(emulator_options options)
     // (begin mod 64 + prefetch chunks, rounded out), clamped to the video.
     mask_words_ = std::min((options_.config.prefetch_chunks >> 6) + 2,
                            (options_.config.chunks_per_video() + 63) >> 6);
+    delta_up_scratch_.resize(delta_seg_cap);
+    word_scratch_.resize(mask_words_);
+    seed_blk_up_.resize(delta_seg_cap);
+    seed_blk_cost_.resize(delta_seg_cap);
 
     register_metrics();
     spans_ = obs::span_recorder(options_.telemetry.record_spans,
@@ -151,8 +153,10 @@ void emulator::register_metrics() {
     g_bytes_peer_ = counters_.add_gauge("ledger.bytes_peer");
     g_bytes_transit_ = counters_.add_gauge("ledger.bytes_transit");
     g_admission_queue_ = counters_.add_gauge("admission.queued");
-    // Delta-pipeline counters (zero when options.delta_build is off); new
-    // names append after every v1 metric so the slot-record prefix is stable.
+    // Delta-build counters: rows (re)transposed or run on the reference
+    // path, rows maintained incrementally, slots whose solver collapsed its
+    // ε ladder. New names append after every v1 metric so the slot-record
+    // prefix is stable.
     c_delta_dirty_ = counters_.add_counter("delta.dirty_rows");
     c_delta_reused_ = counters_.add_counter("delta.reused_rows");
     c_delta_early_exit_ = counters_.add_counter("delta.early_exit_slots");
@@ -521,19 +525,15 @@ void emulator::prefetch_link_costs() {
     }
 }
 
-void emulator::build_problem(double now,
+void emulator::build_problem(double now, bool first_round,
                              const std::vector<std::int32_t>& round_capacity) {
-    if (options_.delta_build) {
-        build_problem_delta(now, round_capacity);
-        if (options_.delta_shadow_check) {
-            build_problem_full(now, round_capacity, shadow_problem_);
-            expects(round_problem_.problem.identical_to(shadow_problem_.problem) &&
-                        round_problem_.request_row == shadow_problem_.request_row &&
-                        round_problem_.uploader_row == shadow_problem_.uploader_row,
-                    "delta build diverged from the full rebuild");
-        }
-    } else {
-        build_problem_full(now, round_capacity, round_problem_);
+    build_problem_delta(now, first_round, round_capacity);
+    if (options_.delta_shadow_check) {
+        build_problem_full(now, round_capacity, shadow_problem_);
+        expects(round_problem_.problem.identical_to(shadow_problem_.problem) &&
+                    round_problem_.request_row == shadow_problem_.request_row &&
+                    round_problem_.uploader_row == shadow_problem_.uploader_row,
+                "delta build diverged from the full rebuild");
     }
     const slot_problem& sp = round_problem_;
     hw_uploaders_ = std::max(hw_uploaders_, sp.problem.num_uploaders());
@@ -667,7 +667,7 @@ double emulator::deadline_value(double ttl) {
     return v;
 }
 
-void emulator::build_problem_delta(double now,
+void emulator::build_problem_delta(double now, bool first_round,
                                    const std::vector<std::int32_t>& round_capacity) {
     slot_problem& sp = round_problem_;
     register_uploaders(sp, round_capacity);
@@ -675,27 +675,22 @@ void emulator::build_problem_delta(double now,
     const auto& cfg = options_.config;
     const std::size_t n_chunks = cfg.chunks_per_video();
     const std::size_t buf_words = (n_chunks + 63) >> 6;
-    const auto slot_idx = static_cast<std::uint32_t>(slots_.size());
-    const std::size_t rows = peers_.rows();
-    if (delta_rows_.size() < rows) {
-        delta_rows_.resize(rows);
-        delta_masks_.resize(rows * mask_words_ * 64);
-        delta_snap_.resize(rows * delta_seg_cap * mask_words_);
-        delta_segs_.resize(rows * delta_seg_cap);
-    }
-    if (val_keys_.empty()) {
+    const std::size_t n_active = active_viewers_.size();
+    if (first_round) {
+        // Open the slot's delta state (the previous slot's was shed with the
+        // arena): every row starts fresh, so round 0 transposes each one.
+        delta_rows_.assign(n_active, {});
+        delta_masks_.resize(n_active * mask_words_ * 64);
+        delta_snap_.resize(n_active * delta_seg_cap * mask_words_);
         // ttl ≥ 0, so an all-ones key (negative NaN) can never collide.
         val_keys_.assign(std::size_t{1} << 13, ~std::uint64_t{0});
-        val_vals_.assign(std::size_t{1} << 13, 0.0);
+        val_vals_.resize(std::size_t{1} << 13);
     }
-    delta_up_scratch_.resize(delta_seg_cap);
-    word_scratch_.resize(mask_words_);
-    seed_blk_up_.resize(delta_seg_cap);
-    seed_blk_cost_.resize(delta_seg_cap);
     std::uint64_t dirty = 0;
     std::uint64_t reused = 0;
 
-    for (std::uint32_t row : active_viewers_) {
+    for (std::size_t i = 0; i < n_active; ++i) {
+        const std::uint32_t row = active_viewers_[i];
         if (peers_.join_time(row) > now) continue;
         const double position = peers_.playback_position(row);
         const double playback_start = peers_.playback_start(row);
@@ -706,45 +701,26 @@ void emulator::build_problem_delta(double now,
         std::size_t idx = buffer.first_missing_in(window_begin, window_end);
         if (idx >= window_end) continue;  // window fully buffered
 
-        delta_row_state& ds = delta_rows_[row];
-        std::uint32_t* seg = delta_segs_.data() + row * delta_seg_cap;
-        // Per-slot segment validation: the tracker re-bootstrapped between
-        // slots, so the neighbor list may have changed (churn, repair,
-        // playback reordering). Within a slot the arena is immutable.
-        if (ds.slot != slot_idx) {
-            const std::size_t nbr_begin = neighbor_offsets_[row];
-            const std::size_t nbr_end = neighbor_offsets_[row + 1];
-            const std::size_t len = nbr_end - nbr_begin;
-            // The masks only represent segments of ≤ 32 live neighbors whose
-            // order equals the arena's (the departed filter a mid-slot
-            // bootstrap could in principle trip never fires here — arrivals
-            // and departures both precede the refresh — but a row that
-            // violates either assumption just runs the reference path).
-            bool representable = len <= delta_seg_cap;
-            if (representable)
-                for (std::size_t k = nbr_begin; k < nbr_end; ++k)
-                    if (peers_.departed(neighbor_rows_[k])) {
-                        representable = false;
-                        break;
-                    }
-            ds.slot = slot_idx;
-            ds.fallback = representable ? 0 : 1;
-            if (representable) {
-                const std::uint32_t* arena = neighbor_rows_.data() + nbr_begin;
-                const bool same = ds.valid != 0 && ds.seg_len == len &&
-                                  std::equal(arena, arena + len, seg);
-                if (!same) {
-                    std::copy_n(arena, len, seg);
-                    ds.seg_len = static_cast<std::uint32_t>(len);
-                    std::uint32_t sc = 0;
-                    while (sc < len && seg[sc] < num_seeds_) ++sc;
-                    ds.seed_count = sc;
-                    ds.valid = 0;  // forces the full mask transpose below
-                }
-                ds.nbr_begin = static_cast<std::uint32_t>(nbr_begin);
+        // Within a slot the neighbor arena is immutable, so the row's slice
+        // of it is the mask segment.
+        delta_row_state& ds = delta_rows_[i];
+        const std::uint32_t nbr_begin = neighbor_offsets_[row];
+        const std::uint32_t* seg = neighbor_rows_.data() + nbr_begin;
+        if (ds.mode == delta_mode::fresh) {
+            // The masks represent segments of ≤ 32 neighbors; wider rows
+            // run the reference path. (Segments hold live rows only: the
+            // tracker drops departures before the refresh.)
+            const std::size_t len = neighbor_offsets_[row + 1] - nbr_begin;
+            if (len <= delta_seg_cap) {
+                ds.seg_len = static_cast<std::uint32_t>(len);
+                std::uint32_t sc = 0;
+                while (sc < len && seg[sc] < num_seeds_) ++sc;
+                ds.seed_count = sc;
+            } else {
+                ds.mode = delta_mode::fallback;
             }
         }
-        if (ds.fallback != 0) {
+        if (ds.mode == delta_mode::fallback) {
             ++dirty;
             append_viewer_row(sp, row, now);
             continue;
@@ -753,9 +729,9 @@ void emulator::build_problem_delta(double now,
         // --- mask maintenance ---
         const std::size_t word_lo = window_begin >> 6;
         const std::size_t cover = std::min(mask_words_, buf_words - word_lo);
-        std::uint32_t* masks = delta_masks_.data() + row * mask_words_ * 64;
-        std::uint64_t* snap = delta_snap_.data() + row * delta_seg_cap * mask_words_;
-        if (ds.valid == 0) {
+        std::uint32_t* masks = delta_masks_.data() + i * mask_words_ * 64;
+        std::uint64_t* snap = delta_snap_.data() + i * delta_seg_cap * mask_words_;
+        if (ds.mode == delta_mode::fresh) {
             // Full transpose: every viewer-neighbor's window words, fresh.
             std::fill_n(masks, cover * 64, 0u);
             for (std::uint32_t j = ds.seed_count; j < ds.seg_len; ++j) {
@@ -765,9 +741,7 @@ void emulator::build_problem_delta(double now,
                 for (std::size_t w = 0; w < cover; ++w)
                     scatter_word(masks + w * 64, sj[w], bit);
             }
-            ds.word_lo = static_cast<std::uint32_t>(word_lo);
-            ds.cover = static_cast<std::uint32_t>(cover);
-            ds.valid = 1;
+            ds.mode = delta_mode::masked;
             ++dirty;
         } else {
             // Incremental: re-base the window (playback only moves forward),
@@ -799,14 +773,14 @@ void emulator::build_problem_delta(double now,
                         scatter_word(masks + w * 64, word_scratch_[w], bit);
                 std::copy_n(word_scratch_.data(), cover, sj);
             }
-            ds.word_lo = static_cast<std::uint32_t>(word_lo);
-            ds.cover = static_cast<std::uint32_t>(cover);
             ++reused;
         }
+        ds.word_lo = static_cast<std::uint32_t>(word_lo);
+        ds.cover = static_cast<std::uint32_t>(cover);
 
         // --- emission: the reference builder's candidate order, bit j of
         // (mask | seed_mask) & eligibility == gathered-candidate ordinal ---
-        const double* seg_costs = neighbor_costs_.data() + ds.nbr_begin;
+        const double* seg_costs = neighbor_costs_.data() + nbr_begin;
         std::uint32_t elig = 0;
         for (std::uint32_t j = 0; j < ds.seg_len; ++j) {
             const std::uint32_t up = sp.uploader_of_peer[seg[j]];
@@ -891,11 +865,11 @@ core::schedule emulator::dispatch(double round_start, double duration,
             return std::move(result.auction.sched);
         }
         core::auction_result result;
-        if (options_.warm_start_rounds || options_.warm_start_slots) {
+        if (options_.warm_start != warm_start_mode::off) {
             // Thread the slot's λ through its bidding rounds (Sec. IV-C's
             // price cycle), exactly like the distributed path above. With
-            // warm_start_slots the carried prices survive slot boundaries
-            // too (step() stops resetting them).
+            // warm_start_mode::slots the carried prices survive slot
+            // boundaries too (step() stops resetting them).
             std::vector<double> initial(view.num_uploaders(), 0.0);
             for (std::size_t u = 0; u < view.num_uploaders(); ++u)
                 initial[u] = slot_prices[sp.uploader_row[u]];
@@ -916,7 +890,7 @@ core::schedule emulator::dispatch(double round_start, double duration,
         // Same round contract as the synchronous auction, minus the
         // distributed window (the Jacobi solver is a solver, not a protocol).
         core::auction_result result;
-        if (options_.warm_start_rounds || options_.warm_start_slots) {
+        if (options_.warm_start != warm_start_mode::off) {
             std::vector<double> initial(view.num_uploaders(), 0.0);
             for (std::size_t u = 0; u < view.num_uploaders(); ++u)
                 initial[u] = slot_prices[sp.uploader_row[u]];
@@ -1058,9 +1032,10 @@ const slot_metrics& emulator::step() {
     const std::size_t rows = peers_.rows();
     // Prices persist across the rounds of one slot and reset at slot
     // boundaries — the slot is the bidding cycle of Sec. IV-C. With
-    // warm_start_slots they carry over instead (rows are never recycled, so
-    // resize keeps every existing uploader's λ and zeroes only new rows).
-    if (options_.warm_start_slots)
+    // warm_start_mode::slots they carry over instead (rows are never
+    // recycled, so resize keeps every existing uploader's λ and zeroes only
+    // new rows).
+    if (options_.warm_start == warm_start_mode::slots)
         slot_prices_.resize(rows, 0.0);
     else
         slot_prices_.assign(rows, 0.0);
@@ -1088,7 +1063,7 @@ const slot_metrics& emulator::step() {
                 (remaining_scratch_[row] + rounds_left - 1) / rounds_left;
 
         if (timed) spans_.skip();
-        build_problem(round_start, round_capacity_scratch_);
+        build_problem(round_start, r == 0, round_capacity_scratch_);
         if (timed) spans_.lap(obs::phase::build);
         metrics.requests += round_problem_.problem.num_requests();
 
@@ -1103,9 +1078,10 @@ const slot_metrics& emulator::step() {
         if (timed) spans_.lap(obs::phase::playback);
     }
 
-    // Slot-end memory discipline: the problem arena and solver slabs are only
-    // needed while this shard's slot is in flight — return them now so a
-    // fleet's resident set scales with its thread count, not its swarm count.
+    // Slot-end memory discipline: the problem arena, the delta state and the
+    // solver slabs are only needed while this shard's slot is in flight —
+    // return them now so a fleet's resident set scales with its thread
+    // count, not its swarm count.
     shed_slot_memory();
     if (timed) spans_.lap(obs::phase::shed);
     if (slot_saw_early_exit_) counters_.inc(c_delta_early_exit_);
@@ -1132,21 +1108,13 @@ const slot_metrics& emulator::step() {
 }
 
 void emulator::shed_slot_memory() {
-    if (options_.delta_build) {
-        // Cross-slot state reuse is the delta pipeline's point: the CSR
-        // arena, its row maps and the solver slabs stay warm. Only the
-        // fleet's cost-cache residency contract is still honored.
-        if (options_.shed_cost_cache) {
-            costs_->shed_cache();
-            counters_.inc(c_shed_events_);
-        }
-        return;
-    }
-    slot_problem& sp = round_problem_;
-    sp.problem.shed();
-    std::vector<std::uint32_t>().swap(sp.uploader_of_peer);
-    std::vector<std::uint32_t>().swap(sp.uploader_row);
-    std::vector<std::uint32_t>().swap(sp.request_row);
+    round_problem_.shed();
+    shadow_problem_.shed();
+    std::vector<delta_row_state>().swap(delta_rows_);
+    std::vector<std::uint32_t>().swap(delta_masks_);
+    std::vector<std::uint64_t>().swap(delta_snap_);
+    std::vector<std::uint64_t>().swap(val_keys_);
+    std::vector<double>().swap(val_vals_);
     scheduler_->shed_memory();
     if (options_.shed_cost_cache) costs_->shed_cache();
     counters_.inc(c_shed_events_);
@@ -1165,7 +1133,8 @@ memory_breakdown emulator::memory_footprint() const {
                        delta_rows_.capacity() * sizeof(delta_row_state) +
                        delta_masks_.capacity() * sizeof(std::uint32_t) +
                        delta_snap_.capacity() * sizeof(std::uint64_t) +
-                       delta_segs_.capacity() * sizeof(std::uint32_t);
+                       val_keys_.capacity() * sizeof(std::uint64_t) +
+                       val_vals_.capacity() * sizeof(double);
     mb.solver = scheduler_->workspace_bytes();
     mb.cost_cache = costs_->cache_bytes();
     mb.ledger = ledger_ ? ledger_->memory_bytes() : 0;
@@ -1179,9 +1148,7 @@ memory_breakdown emulator::memory_footprint() const {
                  delta_up_scratch_.capacity() * sizeof(std::uint32_t) +
                  word_scratch_.capacity() * sizeof(std::uint64_t) +
                  seed_blk_up_.capacity() * sizeof(std::uint32_t) +
-                 seed_blk_cost_.capacity() * sizeof(double) +
-                 val_keys_.capacity() * sizeof(std::uint64_t) +
-                 val_vals_.capacity() * sizeof(double);
+                 seed_blk_cost_.capacity() * sizeof(double);
     mb.shared = assets_->memory_bytes();
     return mb;
 }

@@ -8,8 +8,10 @@
 //      exactly the paper's "delay handling of new bids" rule) and departures;
 //   2. advance playback over the elapsed slot, counting missed deadlines;
 //   3. refresh neighbors, build the slot's scheduling_problem from buffer
-//      maps and the interest windows R_t(d) — into one arena reused across
-//      rounds and slots (core CSR builder, cleared not reallocated);
+//      maps and the interest windows R_t(d) — incrementally: round 0
+//      transposes each viewer's neighbor buffers into per-chunk masks, later
+//      rounds OR in only the chunks just delivered; the CSR arena is reused
+//      across the slot's rounds and shed with the masks at slot end;
 //   4. schedule with the configured algorithm, resolved by name through a
 //      core::scheduler_registry (auction / baselines / exact / custom;
 //      plus the message-level distributed auction for the Fig. 2 window),
@@ -75,6 +77,8 @@ class transportation_simplex_scheduler;  // core/transportation_scheduler.h
 
 namespace p2pcd::vod {
 
+enum class warm_start_mode { off, rounds, slots };
+
 struct emulator_options {
     workload::scenario_config config;
 
@@ -107,17 +111,24 @@ struct emulator_options {
     // is shared across the slot's rounds. 1 disables intra-slot re-bidding.
     std::size_t bid_rounds_per_slot = 5;
 
-    // Warm-start the synchronous auction's prices across the bidding rounds
-    // of one slot (the slot stays the price cycle of Sec. IV-C, exactly like
-    // the distributed runtime's slot_prices). Off by default: the cold-start
-    // rounds are the configuration the equivalence suite pins down.
-    bool warm_start_rounds = false;
+    // Price warm starts of the synchronous and Jacobi auctions. Off by
+    // default: the cold-start rounds are what the slot goldens pin.
+    //   rounds — thread each uploader's λ through the bidding rounds of one
+    //            slot (the slot stays the price cycle of Sec. IV-C, exactly
+    //            like the distributed runtime's slot_prices);
+    //            experiment_runner --warm-rounds;
+    //   slots  — also carry λ across slot boundaries, and let a solver warm-
+    //            started from a converged run collapse its ε ladder to the
+    //            target rung. Changes schedules; pinned by its own slot
+    //            goldens (bench/slot_pipeline's warm pass).
+    warm_start_mode warm_start = warm_start_mode::off;
 
     // Message-level distributed auction (Fig. 2): slots whose start time lies
     // in [distributed_from, distributed_to) run over the simulated network
     // instead of the synchronous solver (one full-slot auction, matching the
     // figure's per-slot price evolution), recording the probe peer's λ.
-    // Only meaningful when `scheduler` is "auction".
+    // Only meaningful when `scheduler` is "auction". Empty by default; set
+    // by bench/fig2_price_convergence.
     double distributed_from = -1.0;
     double distributed_to = -1.0;
     // One-way latency = latency_per_cost × w_{u→d} seconds.
@@ -149,31 +160,16 @@ struct emulator_options {
     // standing footprint drops by the biggest per-shard allocation.
     bool shed_cost_cache = false;
 
-    // --- delta slot pipeline (bench/slot_pipeline's delta arm) ---
-    // Incremental problem builds: the emulator keeps per-viewer candidate
-    // availability masks alive across rounds and slots and re-derives only
-    // what the slot's dirty set (transfers, arrivals, departures, playback
-    // advance, cost re-prices) actually changed, instead of re-gathering and
-    // re-probing every neighbor buffer each round. The built problem is
-    // bit-identical to the full rebuild (cross-checked by the shadow build
-    // below and the slot-golden suite). Also keeps the CSR arena, its row
-    // maps and the solver slabs warm across slots, and skips the solver's
-    // dual-recovery sweep (the emulator never reads request utilities).
-    bool delta_build = false;
-    // Debug cross-check: after every delta build, run the full rebuild into
-    // a shadow arena and require bit-level equality. Default-on in debug
-    // builds; the randomized churn property suite turns it on explicitly.
+    // Debug cross-check of the incremental problem build: after every build,
+    // rebuild the round's problem from scratch into a shadow arena and
+    // require bit-level equality (problem, request rows, uploader rows).
+    // Default-on in debug builds; the churn property suite and
+    // bench/slot_pipeline's identity pass turn it on explicitly.
 #ifdef NDEBUG
     bool delta_shadow_check = false;
 #else
     bool delta_shadow_check = true;
 #endif
-    // Carry each uploader's λ across slot boundaries instead of resetting to
-    // 0 (extends warm_start_rounds' intra-slot price cycle to the whole run)
-    // and let a warm-started solver collapse its ε ladder to the target rung
-    // when the previous run converged. Changes schedules — separate pinned
-    // slot goldens cover this configuration.
-    bool warm_start_slots = false;
 };
 
 // Wall-clock seconds per slot phase, accumulated across every step() of one
@@ -222,7 +218,7 @@ struct memory_breakdown {
     std::size_t buffers = 0;         // dense-fallback buffer_map heap
     std::size_t tracker = 0;         // video pools + per-row records
     std::size_t neighbor_arena = 0;  // CSR offsets + rows + prefetched costs
-    std::size_t problem_arena = 0;   // slot_problem builder + row maps
+    std::size_t problem_arena = 0;   // slot_problem builder + row maps + delta state
     std::size_t solver = 0;          // scheduler persistent workspaces
     std::size_t cost_cache = 0;      // link-draw cache + batch scratch
     std::size_t ledger = 0;          // ISP traffic ledger (economy only)
@@ -364,6 +360,12 @@ private:
                    uploader_row.capacity() * sizeof(std::uint32_t) +
                    request_row.capacity() * sizeof(std::uint32_t);
         }
+        void shed() noexcept {
+            problem.shed();
+            std::vector<std::uint32_t>().swap(uploader_of_peer);
+            std::vector<std::uint32_t>().swap(uploader_row);
+            std::vector<std::uint32_t>().swap(request_row);
+        }
     };
 
     void register_metrics();
@@ -389,27 +391,27 @@ private:
     // probe per link). Timed under the build phase: it replaces the
     // per-candidate cost lookups the pre-refactor build performed.
     void prefetch_link_costs();
-    // (Re)builds the round's problem into the reused arena `round_problem_`;
-    // `round_capacity[row]` is what table row `row` may upload this round.
-    // Dispatches to the full rebuild or (options_.delta_build) the
-    // incremental build, optionally shadow-checking the latter.
-    void build_problem(double now, const std::vector<std::int32_t>& round_capacity);
+    // (Re)builds the round's problem into the reused arena `round_problem_`
+    // with the incremental (delta) builder; `round_capacity[row]` is what
+    // table row `row` may upload this round. `first_round` opens the slot's
+    // delta state. See the "Delta pipeline" section of docs/ARCHITECTURE.md.
+    void build_problem(double now, bool first_round,
+                       const std::vector<std::int32_t>& round_capacity);
     // Registers this round's uploaders (seeds first, then live viewers in
-    // row order) into `sp` — shared prologue of both build paths.
+    // row order) into `sp` — shared prologue of both builders.
     void register_uploaders(slot_problem& sp,
                             const std::vector<std::int32_t>& round_capacity);
-    // The pre-delta builder: gathers every eligible neighbor's window words
-    // and probes them per missing chunk. Still the reference semantics — the
-    // delta build must reproduce its output bit for bit.
+    // The reference builder: gathers every eligible neighbor's window words
+    // and probes them per missing chunk. Only the delta_shadow_check oracle
+    // runs it whole — the delta build must reproduce its output bit for bit.
     void build_problem_full(double now,
                             const std::vector<std::int32_t>& round_capacity,
                             slot_problem& sp);
-    // One viewer row of the full build (gather + per-chunk probe); also the
-    // delta build's fallback for rows its masks cannot represent.
+    // One viewer row of the reference build (gather + per-chunk probe); also
+    // the delta build's path for rows its masks cannot represent.
     void append_viewer_row(slot_problem& sp, std::uint32_t row, double now);
-    // The incremental builder (options_.delta_build); see the "Delta
-    // pipeline" section of docs/ARCHITECTURE.md.
-    void build_problem_delta(double now,
+    // The incremental builder behind build_problem().
+    void build_problem_delta(double now, bool first_round,
                              const std::vector<std::int32_t>& round_capacity);
     // Memoized assets_->valuation.value(ttl) (bit-exact; direct-mapped on the
     // ttl's bit pattern) — the delta build's request loop is hot enough that
@@ -424,11 +426,12 @@ private:
                             std::vector<double>& slot_prices);
     void apply_schedule(const core::schedule& sched, slot_metrics& metrics,
                         std::vector<std::int32_t>& remaining_capacity);
-    // Slot-end memory discipline: returns the problem arena, its row maps and
-    // the solver workspaces to the allocator, remembering their high-water
-    // sizes so the next slot's build can reserve() once instead of regrowing.
-    // With shards stepped slot-lockstep this keeps only ~threads() slabs
-    // resident at a time instead of one per swarm forever.
+    // Slot-end memory discipline: returns the problem arena (and its shadow),
+    // its row maps, the delta state and the solver workspaces to the
+    // allocator, remembering the arena's high-water sizes so the next slot's
+    // build can reserve() once instead of regrowing. With shards stepped
+    // slot-lockstep this keeps only ~threads() slabs resident at a time
+    // instead of one per swarm forever.
     void shed_slot_memory();
 
     emulator_options options_;
@@ -532,32 +535,30 @@ private:
     std::vector<std::int32_t> remaining_scratch_;
     std::vector<std::int32_t> round_capacity_scratch_;
     std::vector<peer_id> batch_ids_;  // cost_batch input per viewer
-    // Build-loop scratch: per viewer, the window words of each eligible
-    // neighbor's buffer gathered side by side, so the candidate loop tests
-    // bits in L1 instead of probing every neighbor's bitmap per chunk.
+    // Reference-row scratch (append_viewer_row): per viewer, the window
+    // words of each eligible neighbor's buffer gathered side by side, so the
+    // candidate loop tests bits in L1 instead of probing every neighbor's
+    // bitmap per chunk.
     std::vector<std::uint64_t> cand_words_;
     std::vector<std::uint32_t> cand_uploader_;
     std::vector<double> cand_cost_;
 
-    // --- delta pipeline state (options_.delta_build) ---
-    // Per-viewer chunk×neighbor availability masks: for table row r with
-    // segment (= this slot's neighbor list, identically ordered) of length
-    // seg_len ≤ 32, mask word c holds bit j iff segment neighbor j's buffer
-    // has chunk (word_lo<<6)+c. Seeds occupy the segment's leading run and
-    // their (full, immutable) buffers are the constant seed_mask instead of
-    // mask bits. Buffer bits are monotone for live peers, so round-to-round
-    // maintenance is an OR of each neighbor's snapshot-diffed new words;
-    // playback advance re-bases the window by memmove and transposes only
-    // the frontier words. Per-round eligibility (capacity left) and the
-    // slot's fresh link costs are applied at emission time, so the masks
-    // survive capacity exhaustion and cost re-prices untouched.
+    // --- delta build state: opened by each slot's first round, shed with the
+    // problem arena at its end, so none of it outlives the slot ---
+    // Per-viewer chunk×neighbor availability masks, indexed by active-viewer
+    // ordinal (stable for the whole slot: arrivals and departures precede
+    // the rounds). For viewer row r, the segment is r's slice of the
+    // neighbor arena, of length seg_len ≤ 32; mask word c holds bit j iff
+    // segment neighbor j's buffer has chunk (word_lo<<6)+c. Seeds occupy the
+    // segment's leading run and their (full, immutable) buffers are the
+    // constant seed_mask instead of mask bits. Round 0 transposes every live
+    // row; buffer bits are monotone for live peers, so later rounds OR in
+    // each neighbor's snapshot-diffed new words, and playback advance
+    // re-bases the window by memmove and transposes only the frontier words.
+    // Per-round eligibility (capacity left) is applied at emission time.
+    enum class delta_mode : std::uint8_t { fresh, masked, fallback };
     struct delta_row_state {
-        std::uint8_t valid = 0;     // masks/snapshots below are live
-        std::uint8_t fallback = 0;  // this slot runs the legacy row path
-        // Slot index of the last segment check; the sentinel forces a first
-        // validation (slot 0 is a real index).
-        std::uint32_t slot = 0xffffffffu;
-        std::uint32_t nbr_begin = 0;  // this slot's neighbor-arena offset
+        delta_mode mode = delta_mode::fresh;
         std::uint32_t seg_len = 0;
         std::uint32_t seed_count = 0;  // leading seed rows → seed_mask
         std::uint32_t word_lo = 0;     // first buffer word the masks cover
@@ -565,17 +566,16 @@ private:
     };
     static constexpr std::size_t delta_seg_cap = 32;  // mask bits per chunk
     std::size_t mask_words_ = 0;  // buffer words one mask window spans
-    std::vector<delta_row_state> delta_rows_;     // by table row
-    std::vector<std::uint32_t> delta_masks_;      // row × (mask_words_·64)
-    std::vector<std::uint64_t> delta_snap_;       // row × seg × mask_words_
-    std::vector<std::uint32_t> delta_segs_;       // row × seg: last seg rows
+    std::vector<delta_row_state> delta_rows_;     // by active-viewer ordinal
+    std::vector<std::uint32_t> delta_masks_;      // ordinal × (mask_words_·64)
+    std::vector<std::uint64_t> delta_snap_;       // ordinal × seg × mask_words_
+    std::vector<std::uint64_t> val_keys_;  // deadline_value memo (ttl bits)
+    std::vector<double> val_vals_;
+    slot_problem shadow_problem_;  // delta_shadow_check rebuild target
     std::vector<std::uint32_t> delta_up_scratch_; // uploader per segment pos
     std::vector<std::uint64_t> word_scratch_;     // one neighbor's cur words
     std::vector<std::uint32_t> seed_blk_up_;      // eligible-seed block: uploaders
     std::vector<double> seed_blk_cost_;           // eligible-seed block: costs
-    std::vector<std::uint64_t> val_keys_;  // deadline_value cache (ttl bits)
-    std::vector<double> val_vals_;
-    slot_problem shadow_problem_;  // delta_shadow_check rebuild target
     bool slot_saw_early_exit_ = false;  // any round's solver early-exited
 
     // Raw λ-change log from distributed slots plus the slot starts, from

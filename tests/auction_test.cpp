@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/contracts.h"
 #include "core/exact.h"
 #include "core/welfare.h"
@@ -187,6 +191,48 @@ TEST(auction, solve_matches_run) {
     auto run_result = solver.run(p);
     auto solve_result = solver.solve(p);
     EXPECT_EQ(run_result.sched.choice, solve_result.choice);
+}
+
+// Dual recovery reads v − w straight off the problem's cost slab; it must
+// land on exactly the doubles the general helper derive_request_utilities
+// computes ((v − w) − λ in both), whether the all-positive-capacity sweep
+// runs or zero-capacity uploaders route recovery through the helper. A
+// schedule-only solver (compute_request_utilities off) skips recovery and
+// changes nothing else.
+TEST(auction, request_utility_from_cost_slab_matches_derive_bit_for_bit) {
+    auction_options lean_options;
+    lean_options.compute_request_utilities = false;
+    for (const std::int32_t capacity_min : {1, 0}) {
+        bool saw_zero_capacity = false;
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            const auto p = workload::make_uniform_instance(
+                {.num_requests = 60, .num_uploaders = 12,
+                 .candidates_per_request = 5, .capacity_min = capacity_min,
+                 .capacity_max = 3, .seed = seed});
+            for (const auto& u : p.view().all_uploaders())
+                saw_zero_capacity = saw_zero_capacity || u.capacity == 0;
+            auction_solver solver;
+            const auto result = solver.run(p);
+            ASSERT_EQ(result.request_utility.size(), p.num_requests());
+            std::vector<double> prices = result.prices;
+            const std::vector<double> derived = derive_request_utilities(p, prices);
+            for (std::size_t r = 0; r < derived.size(); ++r)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(result.request_utility[r]),
+                          std::bit_cast<std::uint64_t>(derived[r]))
+                    << "seed " << seed << " request " << r;
+            EXPECT_EQ(prices, result.prices) << "seed " << seed;
+
+            auction_solver lean(lean_options);
+            const auto lean_result = lean.run(p);
+            EXPECT_TRUE(lean_result.request_utility.empty());
+            EXPECT_EQ(lean_result.sched.choice, result.sched.choice) << "seed " << seed;
+            EXPECT_EQ(lean_result.bids_submitted, result.bids_submitted);
+            if (capacity_min > 0) {  // recovery lifts zero-capacity prices
+                EXPECT_EQ(lean_result.prices, result.prices) << "seed " << seed;
+            }
+        }
+        EXPECT_EQ(saw_zero_capacity, capacity_min == 0);
+    }
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(cost_model_memory, link_cache_bytes_stay_bounded) {
     sim::rng_stream rng(17);
     net::cost_model model(topo, net::cost_params{}, rng);
     for (int u = 0; u < peers; ++u)
-        for (int d = u + 1; d < peers; ++d) model.cost(peer_id(u), peer_id(d));
+        for (int d = u + 1; d < peers; ++d) (void)model.cost(peer_id(u), peer_id(d));
     const net::cost_cache_stats stats = model.cache_stats();
     EXPECT_GE(stats.flushes, 1u) << "flood must overflow the default bound";
     EXPECT_LE(stats.size, stats.capacity);
@@ -132,6 +132,52 @@ TEST(emulator_memory, footprint_components_sum_to_total) {
     EXPECT_EQ(fp.total(), fp.peer_table + fp.buffers + fp.tracker +
                               fp.neighbor_arena + fp.problem_arena + fp.solver +
                               fp.cost_cache + fp.ledger + fp.scratch + fp.shared);
+}
+
+// The slot-scoped footprint contract: the problem arena (with its shadow
+// and the delta build's masks, snapshots and deadline-value memo, all
+// counted under problem_arena) and the solver slabs exist only while a slot
+// is in flight. After every step() they are back at their size before the
+// first slot — the empty arenas' CSR sentinels, no slot state — with the
+// shadow check on or off.
+TEST(emulator_memory, slot_state_is_shed_after_every_step) {
+    for (const bool shadow_check : {false, true}) {
+        vod::emulator_options opts;
+        opts.config = workload::scenario_config::economy_smoke();
+        opts.delta_shadow_check = shadow_check;
+        const std::size_t slots = opts.config.num_slots();
+        vod::emulator emu(opts);
+        const vod::memory_breakdown idle = emu.memory_footprint();
+        EXPECT_LE(idle.problem_arena, 2 * sizeof(std::uint32_t));
+        EXPECT_EQ(idle.solver, 0u);
+        std::size_t requests = 0;
+        for (std::size_t k = 0; k < slots; ++k) {
+            requests += emu.step().requests;
+            const vod::memory_breakdown fp = emu.memory_footprint();
+            EXPECT_EQ(fp.problem_arena, idle.problem_arena)
+                << "shadow " << shadow_check << " slot " << k;
+            EXPECT_EQ(fp.solver, 0u) << "shadow " << shadow_check << " slot " << k;
+        }
+        EXPECT_GT(requests, 0u) << "the run built no problem";
+    }
+}
+
+// The same contract on fleet shards, which share the fleet's pool threads:
+// only the shards in flight hold slot state, so between steps none does.
+TEST(fleet_memory, shards_hold_no_slot_state_between_steps) {
+    engine::fleet_options opts;
+    opts.config = workload::fleet_config::smoke();
+    opts.threads = 2;
+    engine::fleet f(opts);
+    const vod::memory_breakdown idle = f.memory_footprint();
+    for (std::size_t k = 0; k < f.num_slots(); ++k) {
+        f.step();
+        for (std::size_t w = 0; w < f.num_swarms(); ++w)
+            EXPECT_EQ(f.shard_at(w).emulator().memory_footprint().solver, 0u)
+                << "swarm " << w << " slot " << k;
+        EXPECT_EQ(f.memory_footprint().problem_arena, idle.problem_arena)
+            << "slot " << k;
+    }
 }
 
 TEST(fleet_memory, shared_assets_are_counted_once) {

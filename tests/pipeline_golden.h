@@ -1,5 +1,7 @@
-// Hash spec of the slot-pipeline equivalence goldens, shared by the test
-// suite (tests/slot_golden_test.cpp) and bench/slot_pipeline.
+// Hash spec and constants of the slot-pipeline equivalence goldens, shared
+// by the test suite (tests/slot_golden_test.cpp) and bench/slot_pipeline
+// (which adds this directory to its include path). Test-only: nothing in
+// the library reads them.
 //
 // The slot-pipeline refactor (dense peer table + incremental tracker + CSR
 // neighbor arena) is required to be *behavior-preserving*: neighbor lists,
@@ -11,8 +13,8 @@
 // The fold is FNV-1a-style over whole 64-bit words (not bytes):
 //     h = (h ^ word) * 0x100000001b3, seeded with 0xcbf29ce484222325.
 // Doubles enter via bit_cast, so "equal" means bit-identical IEEE values.
-#ifndef P2PCD_VOD_PIPELINE_GOLDEN_H
-#define P2PCD_VOD_PIPELINE_GOLDEN_H
+#ifndef P2PCD_TESTS_PIPELINE_GOLDEN_H
+#define P2PCD_TESTS_PIPELINE_GOLDEN_H
 
 #include <bit>
 #include <cstdint>
@@ -112,13 +114,11 @@ inline constexpr const golden_run_hashes* golden_parallel_for(
     return nullptr;
 }
 
-// Cross-slot warm starts (emulator_options::warm_start_slots: a slot's
+// Cross-slot warm starts (emulator_options::warm_start = slots: a slot's
 // final prices seed the next slot's first round, and under ε-scaling a
 // converged solver re-runs on the collapsed {target ε} ladder) change
-// schedules on purpose, so they are pinned by their own constants. The
-// delta build must reproduce these same hashes (bit-identity holds for
-// every solver configuration). Captured 2026-08-09 on GCC / x86-64,
-// default options otherwise.
+// schedules on purpose, so they are pinned by their own constants.
+// Captured 2026-08-09 on GCC / x86-64, default options otherwise.
 inline constexpr golden_run_hashes golden_warm_slots_economy = {
     "economy_smoke", 0xba4895265c419f4bull, 0xb6a61c45ee985223ull,
     0x0af3986d1cf5a356ull};
@@ -143,4 +143,4 @@ inline constexpr bool golden_toolchain = false;
 
 }  // namespace p2pcd::vod
 
-#endif  // P2PCD_VOD_PIPELINE_GOLDEN_H
+#endif  // P2PCD_TESTS_PIPELINE_GOLDEN_H

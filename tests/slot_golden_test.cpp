@@ -21,8 +21,8 @@
 #include <string>
 
 #include "obs/jsonl_sink.h"
+#include "pipeline_golden.h"
 #include "vod/emulator.h"
-#include "vod/pipeline_golden.h"
 #include "workload/scenario_registry.h"
 
 namespace p2pcd::vod {
@@ -38,9 +38,7 @@ struct run_hashes {
 struct scenario_run_options {
     std::string scheduler = "auction";
     std::size_t solver_threads = 1;  // auction-par only
-    bool warm_start = false;
-    bool warm_start_slots = false;  // prices survive slot boundaries
-    bool delta = false;  // incremental problem builds (delta_build)
+    warm_start_mode warm_start = warm_start_mode::off;
     std::size_t max_slots = 0;  // 0 = the scenario's full horizon
     bool telemetry = false;  // full pipeline: counters + spans + JSONL sink
 };
@@ -51,9 +49,7 @@ run_hashes run_scenario(const std::string& name,
     opts.config = workload::builtin_scenarios().make(name);
     opts.scheduler = ro.scheduler;
     opts.parallel_auction.num_threads = ro.solver_threads;
-    opts.warm_start_rounds = ro.warm_start;
-    opts.warm_start_slots = ro.warm_start_slots;
-    opts.delta_build = ro.delta;
+    opts.warm_start = ro.warm_start;
     std::ostringstream telemetry_out;
     std::optional<obs::jsonl_sink> sink;
     if (ro.telemetry) {
@@ -122,7 +118,7 @@ void check_parallel_scenario(const std::string& name) {
 // run under auction-par hashes identically at every thread count, so prices
 // and schedules never depend on the partitioning. Self-comparing, hence
 // enforced on every toolchain (no golden constants involved).
-void check_thread_invariance(const std::string& name, bool warm_start,
+void check_thread_invariance(const std::string& name, warm_start_mode warm_start,
                              std::size_t max_slots = 0) {
     const run_hashes ref = run_scenario(
         name, {.scheduler = "auction-par", .solver_threads = 1,
@@ -138,8 +134,10 @@ void check_thread_invariance(const std::string& name, bool warm_start,
     }
 }
 
-// Constants: vod::golden_runs (src/vod/pipeline_golden.h), captured from
-// the pre-refactor emulator.
+// Constants: vod::golden_runs (tests/pipeline_golden.h), captured from
+// the pre-refactor emulator. Every run here goes through the incremental
+// (delta) problem build, the emulator's only builder, so these goldens also
+// pin its bit-identity with the pre-refactor full rebuild.
 TEST(slot_golden, economy_smoke_matches_pre_refactor_emulator) {
     check_scenario("economy_smoke");
 }
@@ -168,27 +166,27 @@ TEST(slot_golden, flash_crowd_10k_parallel_auction_pinned) {
 }
 
 TEST(slot_golden, parallel_auction_thread_invariant_economy_smoke) {
-    check_thread_invariance("economy_smoke", false);
+    check_thread_invariance("economy_smoke", warm_start_mode::off);
 }
 
 // Warm-started prices carry across rounds, so any cross-thread price
 // divergence would cascade into every later slot's schedule — this variant
 // pins final prices, not just schedules.
 TEST(slot_golden, parallel_auction_thread_invariant_economy_smoke_warm) {
-    check_thread_invariance("economy_smoke", true);
+    check_thread_invariance("economy_smoke", warm_start_mode::rounds);
 }
 
 // Every metro slot runs at full 5 000-peer scale, so a 4-slot prefix at each
 // thread count already drives the bid/merge path through real contention;
 // the full-horizon fixed point is pinned by the golden above at 1 thread.
 TEST(slot_golden, parallel_auction_thread_invariant_metro_5k) {
-    check_thread_invariance("metro_5k", false, 4);
+    check_thread_invariance("metro_5k", warm_start_mode::off, 4);
 }
 
 // The crowd builds over the horizon; 150 slots (~6 000 peers by the cut)
 // keeps four full-scale runs affordable on the CI box.
 TEST(slot_golden, parallel_auction_thread_invariant_flash_crowd_10k) {
-    check_thread_invariance("flash_crowd_10k", false, 150);
+    check_thread_invariance("flash_crowd_10k", warm_start_mode::off, 150);
 }
 
 // Telemetry may observe, never steer: the goldens must hold with the full
@@ -204,51 +202,22 @@ TEST(slot_golden, telemetry_on_and_off_schedules_identical) {
     EXPECT_EQ(on.final_state, off.final_state) << "telemetry changed peer state";
 }
 
-// The delta pipeline's contract is bit-identity with the full rebuild, so a
-// delta_build run must land on the SAME golden constants as the full-build
-// runs above — there is no separate capture for the incremental path.
-TEST(slot_golden, economy_smoke_delta_build_matches_same_golden) {
-    check_against("economy_smoke", "-DELTA", golden_for("economy_smoke"),
-                  run_scenario("economy_smoke", {.delta = true}));
-}
-
-TEST(slot_golden, metro_5k_delta_build_matches_same_golden) {
-    check_against("metro_5k", "-DELTA", golden_for("metro_5k"),
-                  run_scenario("metro_5k", {.delta = true}));
-}
-
-TEST(slot_golden, economy_smoke_delta_parallel_matches_pinned) {
-    check_against("economy_smoke", "-DELTA-PAR",
-                  golden_parallel_for("economy_smoke"),
-                  run_scenario("economy_smoke",
-                               {.scheduler = "auction-par", .delta = true}));
-}
-
 // Cross-slot warm starts intentionally change schedules (final prices seed
 // the next slot, and under ε-scaling a converged re-run collapses the
 // ladder to the target ε), so they are pinned by their own constants
 // (vod::golden_warm_slots_economy{,_par}) rather than the cold-start goldens.
 TEST(slot_golden, economy_smoke_warm_slots_pinned) {
     check_against("economy_smoke", "-WARMSLOTS", &golden_warm_slots_economy,
-                  run_scenario("economy_smoke", {.warm_start_slots = true}));
+                  run_scenario("economy_smoke",
+                               {.warm_start = warm_start_mode::slots}));
 }
 
 TEST(slot_golden, economy_smoke_warm_slots_parallel_pinned) {
     check_against("economy_smoke", "-WARMSLOTS-PAR",
                   &golden_warm_slots_economy_par,
-                  run_scenario("economy_smoke", {.scheduler = "auction-par",
-                                                 .warm_start_slots = true}));
-}
-
-// Warm slot reuse composed with the delta build: the early-exit ε schedule
-// must not disturb the bit-identity contract, so the combined run lands on
-// the same warm-slots golden as the full-build warm run.
-TEST(slot_golden, economy_smoke_warm_slots_delta_matches_same_golden) {
-    check_against("economy_smoke", "-WARMSLOTS-DELTA-PAR",
-                  &golden_warm_slots_economy_par,
                   run_scenario("economy_smoke",
                                {.scheduler = "auction-par",
-                                .warm_start_slots = true, .delta = true}));
+                                .warm_start = warm_start_mode::slots}));
 }
 
 TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {
