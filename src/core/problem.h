@@ -5,7 +5,9 @@
 //  * requests: every (downstream peer d, chunk c) pair in R_t(d), with the
 //    downstream peer's valuation v^{(c)}(d);
 //  * candidates: for each request, the neighbors that cache chunk c, each with
-//    the network cost w_{u→d}.
+//    the network cost w_{u→d}. For the auctions' rounds the emulator lists
+//    only those with w ≤ v (no bid ever targets the rest), so a request's
+//    row may be empty.
 //
 // Storage is CSR (compressed sparse row) with structure-of-arrays candidates:
 // the flat candidate slab is a u32 uploader-index array plus a parallel double
@@ -206,9 +208,10 @@ public:
     // request shifts the candidate tail and is O(num_candidates).
     void add_candidate(std::size_t request, std::size_t uploader, double cost);
 
-    // The hot-path form: appends to the most recently added request. The
-    // emulator's candidate loop calls this hundreds of millions of times per
-    // metro run, so it lives in the header (no cross-TU call, one branch).
+    // Appends to the most recently added request — the per-candidate form
+    // of the emulator's reference row builder (its >32-neighbor rows and
+    // the shadow oracle) and of the instance generators. Header-inline: one
+    // branch, no cross-TU call.
     void append_candidate(std::size_t uploader, double cost) {
         expects(!requests_.empty(), "append_candidate needs an open request");
         expects(cand_uploader_.size() < 0xffffffffu, "candidate slab exceeds u32");
@@ -217,10 +220,10 @@ public:
         ++offsets_.back();
     }
 
-    // Mask-driven bulk append (the delta build's emission kernel): for each
-    // set bit j of `mask`, ascending, appends candidate (uploaders[j],
-    // costs[j]) to the most recently added request — one contract check per
-    // row instead of one per candidate. Returns how many were appended.
+    // Mask-driven bulk append, the delta build's one emission call per
+    // request: for each set bit j of `mask`, ascending, appends candidate
+    // (uploaders[j], costs[j]) to the most recently added request — one
+    // contract check per request. Returns how many were appended.
     std::size_t append_candidates_masked(const std::uint32_t* uploaders,
                                          const double* costs,
                                          std::uint32_t mask) {
@@ -235,19 +238,6 @@ public:
         }
         offsets_.back() += n;
         return n;
-    }
-
-    // Contiguous bulk append to the most recently added request — the delta
-    // build's fast path for a per-row constant candidate prefix (seed
-    // uploaders match every chunk, so their block is precomputed once per
-    // row and copied per request).
-    void append_candidates_block(const std::uint32_t* uploaders,
-                                 const double* costs, std::uint32_t n) {
-        expects(!requests_.empty(), "append_candidates_block needs an open request");
-        expects(cand_uploader_.size() + n <= 0xffffffffu, "candidate slab exceeds u32");
-        cand_uploader_.insert(cand_uploader_.end(), uploaders, uploaders + n);
-        cand_cost_.insert(cand_cost_.end(), costs, costs + n);
-        offsets_.back() += n;
     }
 
     // Exact (bit-level) equality of the built instance — the delta pipeline's

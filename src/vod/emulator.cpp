@@ -1,6 +1,7 @@
 #include "vod/emulator.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -63,8 +64,6 @@ emulator::emulator(emulator_options options)
                            (options_.config.chunks_per_video() + 63) >> 6);
     delta_up_scratch_.resize(delta_seg_cap);
     word_scratch_.resize(mask_words_);
-    seed_blk_up_.resize(delta_seg_cap);
-    seed_blk_cost_.resize(delta_seg_cap);
 
     register_metrics();
     spans_ = obs::span_recorder(options_.telemetry.record_spans,
@@ -160,6 +159,9 @@ void emulator::register_metrics() {
     c_delta_dirty_ = counters_.add_counter("delta.dirty_rows");
     c_delta_reused_ = counters_.add_counter("delta.reused_rows");
     c_delta_early_exit_ = counters_.add_counter("delta.early_exit_slots");
+    // Candidates emitted, and eligible holders left out because w > v.
+    c_build_candidates_ = counters_.add_counter("build.candidates");
+    c_build_pruned_ = counters_.add_counter("build.pruned_candidates");
 }
 
 void emulator::sample_counters() {
@@ -526,16 +528,18 @@ void emulator::prefetch_link_costs() {
 }
 
 void emulator::build_problem(double now, bool first_round,
-                             const std::vector<std::int32_t>& round_capacity) {
-    build_problem_delta(now, first_round, round_capacity);
+                             const std::vector<std::int32_t>& round_capacity,
+                             bool profitable_only) {
+    build_problem_delta(now, first_round, round_capacity, profitable_only);
     if (options_.delta_shadow_check) {
-        build_problem_full(now, round_capacity, shadow_problem_);
+        build_problem_full(now, round_capacity, profitable_only, shadow_problem_);
         expects(round_problem_.problem.identical_to(shadow_problem_.problem) &&
                     round_problem_.request_row == shadow_problem_.request_row &&
                     round_problem_.uploader_row == shadow_problem_.uploader_row,
                 "delta build diverged from the full rebuild");
     }
     const slot_problem& sp = round_problem_;
+    counters_.inc(c_build_candidates_, sp.problem.num_candidates());
     hw_uploaders_ = std::max(hw_uploaders_, sp.problem.num_uploaders());
     hw_requests_ = std::max(hw_requests_, sp.problem.num_requests());
     hw_candidates_ = std::max(hw_candidates_, sp.problem.num_candidates());
@@ -568,7 +572,8 @@ void emulator::register_uploaders(slot_problem& sp,
     }
 }
 
-void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now) {
+std::size_t emulator::append_viewer_row(slot_problem& sp, std::uint32_t row,
+                                        double now, bool profitable_only) {
     const auto& cfg = options_.config;
     const std::size_t n_chunks = cfg.chunks_per_video();
     const double position = peers_.playback_position(row);
@@ -578,7 +583,7 @@ void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now
     auto window_begin = static_cast<std::size_t>(std::ceil(position));
     std::size_t window_end = std::min(window_begin + cfg.prefetch_chunks, n_chunks);
     std::size_t idx = buffer.first_missing_in(window_begin, window_end);
-    if (idx >= window_end) return;  // window fully buffered
+    if (idx >= window_end) return 0;  // window fully buffered
 
     // Gather each eligible neighbor's window words next to its uploader
     // ordinal and prefetched cost: the per-chunk candidate test below
@@ -605,8 +610,9 @@ void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now
         cand_uploader_.push_back(uploader);
         cand_cost_.push_back(neighbor_costs_[k]);
     }
-    if (cand_uploader_.empty()) return;
+    if (cand_uploader_.empty()) return 0;
 
+    std::size_t pruned = 0;
     for (; idx < window_end; idx = buffer.first_missing_in(idx + 1, window_end)) {
         // Deadline: the moment playback reaches this chunk.
         double deadline =
@@ -618,27 +624,34 @@ void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now
         double ttl = std::max(0.0, deadline - now);
         const std::size_t word = (idx >> 6) - word_lo;
         const std::size_t shift = idx & 63;
-        std::size_t request = SIZE_MAX;
+        // Any eligible holder opens the request, profitable or not.
+        bool opened = false;
+        double v = 0.0;
         for (std::size_t j = 0; j < cand_uploader_.size(); ++j) {
             if (((cand_words_[j * n_words + word] >> shift) & 1u) == 0) continue;
-            if (request == SIZE_MAX) {
-                request = sp.problem.add_request(
-                    peers_.id(row), assets_->catalog.chunk_of(video, idx),
-                    assets_->valuation.value(ttl));
+            if (!opened) {
+                opened = true;
+                v = assets_->valuation.value(ttl);
+                sp.problem.add_request(peers_.id(row),
+                                       assets_->catalog.chunk_of(video, idx), v);
                 sp.request_row.push_back(row);
             }
-            sp.problem.append_candidate(cand_uploader_[j], cand_cost_[j]);
+            if (!profitable_only || cand_cost_[j] <= v)
+                sp.problem.append_candidate(cand_uploader_[j], cand_cost_[j]);
+            else
+                ++pruned;
         }
     }
+    return pruned;
 }
 
 void emulator::build_problem_full(double now,
                                   const std::vector<std::int32_t>& round_capacity,
-                                  slot_problem& sp) {
+                                  bool profitable_only, slot_problem& sp) {
     register_uploaders(sp, round_capacity);
     for (std::uint32_t row : active_viewers_) {
         if (peers_.join_time(row) > now) continue;
-        append_viewer_row(sp, row, now);
+        (void)append_viewer_row(sp, row, now, profitable_only);
     }
 }
 
@@ -668,7 +681,8 @@ double emulator::deadline_value(double ttl) {
 }
 
 void emulator::build_problem_delta(double now, bool first_round,
-                                   const std::vector<std::int32_t>& round_capacity) {
+                                   const std::vector<std::int32_t>& round_capacity,
+                                   bool profitable_only) {
     slot_problem& sp = round_problem_;
     register_uploaders(sp, round_capacity);
 
@@ -688,6 +702,12 @@ void emulator::build_problem_delta(double now, bool first_round,
     }
     std::uint64_t dirty = 0;
     std::uint64_t reused = 0;
+    std::uint64_t pruned = 0;
+    // A row's eligible link costs, ascending, and prof_mask[k] = the segment
+    // bits of the k cheapest: the holders a request at value v may list are
+    // then prof_mask[#costs ≤ v].
+    std::array<double, delta_seg_cap> prof_cost{};
+    std::array<std::uint32_t, delta_seg_cap + 1> prof_mask{};
 
     for (std::size_t i = 0; i < n_active; ++i) {
         const std::uint32_t row = active_viewers_[i];
@@ -722,7 +742,7 @@ void emulator::build_problem_delta(double now, bool first_round,
         }
         if (ds.mode == delta_mode::fallback) {
             ++dirty;
-            append_viewer_row(sp, row, now);
+            pruned += append_viewer_row(sp, row, now, profitable_only);
             continue;
         }
 
@@ -779,7 +799,7 @@ void emulator::build_problem_delta(double now, bool first_round,
         ds.cover = static_cast<std::uint32_t>(cover);
 
         // --- emission: the reference builder's candidate order, bit j of
-        // (mask | seed_mask) & eligibility == gathered-candidate ordinal ---
+        // (mask | seed_bits) & eligibility == gathered-candidate ordinal j ---
         const double* seg_costs = neighbor_costs_.data() + nbr_begin;
         std::uint32_t elig = 0;
         for (std::uint32_t j = 0; j < ds.seg_len; ++j) {
@@ -788,24 +808,31 @@ void emulator::build_problem_delta(double now, bool first_round,
             if (up != UINT32_MAX) elig |= 1u << j;
         }
         if (elig == 0) continue;
-        const std::uint32_t seed_mask =
-            ds.seed_count >= 32 ? 0xffffffffu : (1u << ds.seed_count) - 1u;
-        // Seed buffers are full, so every eligible seed matches every chunk:
-        // the row's leading candidates are identical across its requests.
-        // Precompute that block once and bulk-copy it per request (the masks
-        // never carry seed bits — seeds are exempt from the transpose).
-        std::uint32_t n_seed = 0;
-        for (std::uint32_t se = elig & seed_mask; se != 0; se &= se - 1) {
-            const auto j = static_cast<std::uint32_t>(std::countr_zero(se));
-            seed_blk_up_[n_seed] = delta_up_scratch_[j];
-            seed_blk_cost_[n_seed] = seg_costs[j];
-            ++n_seed;
+        // Seed buffers are full, so every eligible seed holds every chunk
+        // (the masks never carry seed bits — seeds are exempt from the
+        // transpose).
+        const std::uint32_t seed_bits =
+            elig & (ds.seed_count >= 32 ? 0xffffffffu : (1u << ds.seed_count) - 1u);
+        std::uint32_t n_prof = 0;
+        if (profitable_only) {
+            // Insertion sort of (cost, bit) into prof_cost / prof_mask[1..],
+            // then a running OR turns the bits into cumulative masks.
+            for (std::uint32_t e = elig; e != 0; e &= e - 1) {
+                const auto j = static_cast<std::uint32_t>(std::countr_zero(e));
+                std::uint32_t k = n_prof++;
+                for (; k > 0 && prof_cost[k - 1] > seg_costs[j]; --k) {
+                    prof_cost[k] = prof_cost[k - 1];
+                    prof_mask[k + 1] = prof_mask[k];
+                }
+                prof_cost[k] = seg_costs[j];
+                prof_mask[k + 1] = 1u << j;
+            }
+            for (std::uint32_t k = 1; k <= n_prof; ++k) prof_mask[k] |= prof_mask[k - 1];
         }
-        const std::uint32_t viewer_elig = elig & ~seed_mask;
         const std::size_t base = word_lo << 6;
         for (; idx < window_end; idx = buffer.first_missing_in(idx + 1, window_end)) {
-            const std::uint32_t mv = masks[idx - base] & viewer_elig;
-            if (mv == 0 && n_seed == 0) continue;
+            const std::uint32_t holders = (masks[idx - base] & elig) | seed_bits;
+            if (holders == 0) continue;
             double deadline =
                 now < playback_start
                     ? playback_start +
@@ -813,32 +840,35 @@ void emulator::build_problem_delta(double now, bool first_round,
                     : now + (static_cast<double>(idx) - position) /
                                 cfg.chunks_per_second();
             double ttl = std::max(0.0, deadline - now);
+            const double v = deadline_value(ttl);
             sp.problem.add_request(peers_.id(row),
-                                   assets_->catalog.chunk_of(video, idx),
-                                   deadline_value(ttl));
+                                   assets_->catalog.chunk_of(video, idx), v);
             sp.request_row.push_back(row);
-            if (n_seed != 0)
-                sp.problem.append_candidates_block(seed_blk_up_.data(),
-                                                   seed_blk_cost_.data(), n_seed);
-            if (mv != 0)
-                sp.problem.append_candidates_masked(delta_up_scratch_.data(),
-                                                    seg_costs, mv);
+            std::uint32_t emit = holders;
+            if (profitable_only) {
+                std::uint32_t k = 0;
+                while (k < n_prof && prof_cost[k] <= v) ++k;
+                emit &= prof_mask[k];
+                pruned += static_cast<std::uint64_t>(std::popcount(holders & ~emit));
+            }
+            sp.problem.append_candidates_masked(delta_up_scratch_.data(), seg_costs,
+                                                emit);
         }
     }
     counters_.inc(c_delta_dirty_, dirty);
     counters_.inc(c_delta_reused_, reused);
+    counters_.inc(c_build_pruned_, pruned);
 }
 
 core::schedule emulator::dispatch(double round_start, double duration,
-                                  std::size_t round, slot_metrics& metrics,
+                                  std::size_t round, bool distributed,
+                                  slot_metrics& metrics,
                                   std::vector<double>& slot_prices) {
     const slot_problem& sp = round_problem_;
     const core::problem_view view = sp.problem.view();
     counters_.inc(c_solver_rounds_);
 
     if (auction_ != nullptr) {
-        bool distributed = round_start >= options_.distributed_from &&
-                           round_start < options_.distributed_to;
         if (distributed) {
             runtime_options ro;
             ro.bidding = options_.auction.bidding;
@@ -1022,10 +1052,18 @@ const slot_metrics& emulator::step() {
     metrics.time = slot_start;
     metrics.online_peers = online_viewers();
 
-    bool distributed = auction_ != nullptr &&
-                       slot_start >= options_.distributed_from &&
-                       slot_start < options_.distributed_to;
+    // Decided once per slot: every round of a distributed slot runs on the
+    // message-level runtime, so an edge of the window never splits a slot.
+    const bool distributed = auction_ != nullptr &&
+                             slot_start >= options_.distributed_from &&
+                             slot_start < options_.distributed_to;
     if (distributed) distributed_slot_starts_.push_back(slot_start);
+    // The synchronous auctions never bid on a candidate with w > v (its
+    // margin (v − w) − λ < 0 for every λ ≥ 0), so their rounds list only
+    // w ≤ v. Other schedulers and the runtime, which sends each price
+    // update to every request listing the uploader, keep full lists.
+    const bool profitable_only =
+        (auction_ != nullptr || par_auction_ != nullptr) && !distributed;
     const std::size_t rounds = std::max<std::size_t>(1, options_.bid_rounds_per_slot);
     const double round_length = options_.config.slot_seconds /
                                 static_cast<double>(rounds);
@@ -1063,11 +1101,12 @@ const slot_metrics& emulator::step() {
                 (remaining_scratch_[row] + rounds_left - 1) / rounds_left;
 
         if (timed) spans_.skip();
-        build_problem(round_start, r == 0, round_capacity_scratch_);
+        build_problem(round_start, r == 0, round_capacity_scratch_, profitable_only);
         if (timed) spans_.lap(obs::phase::build);
         metrics.requests += round_problem_.problem.num_requests();
 
-        auto sched = dispatch(round_start, round_length, r, metrics, slot_prices_);
+        auto sched =
+            dispatch(round_start, round_length, r, distributed, metrics, slot_prices_);
         if (timed) spans_.lap(obs::phase::solve);
         apply_schedule(sched, metrics, remaining_scratch_);
         if (timed) spans_.lap(obs::phase::apply);
@@ -1146,9 +1185,7 @@ memory_breakdown emulator::memory_footprint() const {
                  cand_uploader_.capacity() * sizeof(std::uint32_t) +
                  cand_cost_.capacity() * sizeof(double) +
                  delta_up_scratch_.capacity() * sizeof(std::uint32_t) +
-                 word_scratch_.capacity() * sizeof(std::uint64_t) +
-                 seed_blk_up_.capacity() * sizeof(std::uint32_t) +
-                 seed_blk_cost_.capacity() * sizeof(double);
+                 word_scratch_.capacity() * sizeof(std::uint64_t);
     mb.shared = assets_->memory_bytes();
     return mb;
 }

@@ -123,12 +123,11 @@ struct emulator_options {
     //            goldens (bench/slot_pipeline's warm pass).
     warm_start_mode warm_start = warm_start_mode::off;
 
-    // Message-level distributed auction (Fig. 2): slots whose start time lies
-    // in [distributed_from, distributed_to) run over the simulated network
-    // instead of the synchronous solver (one full-slot auction, matching the
-    // figure's per-slot price evolution), recording the probe peer's λ.
-    // Only meaningful when `scheduler` is "auction". Empty by default; set
-    // by bench/fig2_price_convergence.
+    // Message-level distributed auction (Fig. 2): every bidding round of a
+    // slot whose *start* lies in [distributed_from, distributed_to) runs on
+    // the simulated network, λ restarting at 0 with the slot (the figure's
+    // per-slot price evolution), recording the probe peer's λ. Only for
+    // `scheduler` "auction"; set by bench/fig2_price_convergence.
     double distributed_from = -1.0;
     double distributed_to = -1.0;
     // One-way latency = latency_per_cost × w_{u→d} seconds.
@@ -394,9 +393,11 @@ private:
     // (Re)builds the round's problem into the reused arena `round_problem_`
     // with the incremental (delta) builder; `round_capacity[row]` is what
     // table row `row` may upload this round. `first_round` opens the slot's
-    // delta state. See the "Delta pipeline" section of docs/ARCHITECTURE.md.
+    // delta state. `profitable_only` lists only holders with w ≤ v (a
+    // request may stay an empty row). See ARCHITECTURE.md "Delta pipeline".
     void build_problem(double now, bool first_round,
-                       const std::vector<std::int32_t>& round_capacity);
+                       const std::vector<std::int32_t>& round_capacity,
+                       bool profitable_only);
     // Registers this round's uploaders (seeds first, then live viewers in
     // row order) into `sp` — shared prologue of both builders.
     void register_uploaders(slot_problem& sp,
@@ -406,13 +407,16 @@ private:
     // runs it whole — the delta build must reproduce its output bit for bit.
     void build_problem_full(double now,
                             const std::vector<std::int32_t>& round_capacity,
-                            slot_problem& sp);
+                            bool profitable_only, slot_problem& sp);
     // One viewer row of the reference build (gather + per-chunk probe); also
-    // the delta build's path for rows its masks cannot represent.
-    void append_viewer_row(slot_problem& sp, std::uint32_t row, double now);
+    // the delta build's path for rows its masks cannot represent. Returns
+    // how many eligible holders `profitable_only` left out.
+    std::size_t append_viewer_row(slot_problem& sp, std::uint32_t row, double now,
+                                  bool profitable_only);
     // The incremental builder behind build_problem().
     void build_problem_delta(double now, bool first_round,
-                             const std::vector<std::int32_t>& round_capacity);
+                             const std::vector<std::int32_t>& round_capacity,
+                             bool profitable_only);
     // Memoized assets_->valuation.value(ttl) (bit-exact; direct-mapped on the
     // ttl's bit pattern) — the delta build's request loop is hot enough that
     // the valuation's log() shows up.
@@ -420,9 +424,11 @@ private:
     // `slot_prices` carries each uploader's λ across the bidding rounds of
     // one distributed (or warm-started synchronous) slot — prices reset at
     // slot boundaries, Sec. IV-C. Dense by table row. `round` is the round
-    // ordinal within the slot, used to derive the per-round scheduler seed.
+    // ordinal within the slot, used to derive the per-round scheduler seed;
+    // `distributed` is step()'s per-slot decision to run the round on the
+    // message-level runtime.
     core::schedule dispatch(double round_start, double duration, std::size_t round,
-                            slot_metrics& metrics,
+                            bool distributed, slot_metrics& metrics,
                             std::vector<double>& slot_prices);
     void apply_schedule(const core::schedule& sched, slot_metrics& metrics,
                         std::vector<std::int32_t>& remaining_capacity);
@@ -514,6 +520,8 @@ private:
     // Delta-pipeline counters (schema v2 additions — registered last so the
     // v1 record prefix is byte-stable).
     obs::counter_id c_delta_dirty_, c_delta_reused_, c_delta_early_exit_;
+    // Candidates emitted, and eligible holders left out because w > v.
+    obs::counter_id c_build_candidates_, c_build_pruned_;
     // Row-major num_isps × num_isps relationship class of each directed ISP
     // pair (values of isp::relationship), precomputed so apply_schedule's
     // per-transfer gauge add is one byte load. Normally borrowed from the
@@ -555,7 +563,8 @@ private:
     // row; buffer bits are monotone for live peers, so later rounds OR in
     // each neighbor's snapshot-diffed new words, and playback advance
     // re-bases the window by memmove and transposes only the frontier words.
-    // Per-round eligibility (capacity left) is applied at emission time.
+    // Per-round eligibility (capacity left) and, for the auctions'
+    // rounds, profitability (w ≤ v) are applied at emission time.
     enum class delta_mode : std::uint8_t { fresh, masked, fallback };
     struct delta_row_state {
         delta_mode mode = delta_mode::fresh;
@@ -574,8 +583,6 @@ private:
     slot_problem shadow_problem_;  // delta_shadow_check rebuild target
     std::vector<std::uint32_t> delta_up_scratch_; // uploader per segment pos
     std::vector<std::uint64_t> word_scratch_;     // one neighbor's cur words
-    std::vector<std::uint32_t> seed_blk_up_;      // eligible-seed block: uploaders
-    std::vector<double> seed_blk_cost_;           // eligible-seed block: costs
     bool slot_saw_early_exit_ = false;  // any round's solver early-exited
 
     // Raw λ-change log from distributed slots plus the slot starts, from

@@ -2,7 +2,10 @@
 // emulator's only problem builder: the incremental build must reproduce the
 // reference full rebuild bit for bit on every bidding round — under Poisson
 // arrivals, early quitters, finish-departures, the playback end-clamp and
-// epoch re-prices — and the pipeline must stay thread-count invariant.
+// epoch re-prices — and the pipeline must stay thread-count invariant. Both
+// emission modes are covered: the auctions' rounds list profitable
+// candidates only (w ≤ v), every other scheduler's and the message-level
+// runtime's rounds list every eligible holder.
 //
 // Every run here is shadow-checked: delta_shadow_check makes the emulator
 // run the reference builder after every incremental build and throw on any
@@ -13,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,6 +96,45 @@ TEST_P(delta_pipeline, jacobi_delta_matches_full_rebuild) {
 
 INSTANTIATE_TEST_SUITE_P(seeds, delta_pipeline, ::testing::Range(0, 4));
 
+// Full candidate lists: a scheduler other than the two auctions sees every
+// eligible holder, so nothing is pruned, and the delta build must still
+// match the reference rebuild over churn.
+TEST(delta_pipeline_full_lists, greedy_welfare_matches_full_rebuild_over_churn) {
+    const emulator_options opts = churny_options(3301, "greedy-welfare");
+    emulator checked(opts);
+    step_against_unchecked_twin(checked, opts, 30);
+    EXPECT_GT(counter_value(checked, "build.candidates"), 0u);
+    EXPECT_EQ(counter_value(checked, "build.pruned_candidates"), 0u);
+    EXPECT_GT(counter_value(checked, "delta.reused_rows"), 0u);
+}
+
+// A distributed window puts both modes in one run: the synchronous auction's
+// slots build profitable candidates only, the window's slots run on the
+// message-level runtime with full lists. The shadow check must hold on every
+// round of both kinds, and only the synchronous slots may prune.
+TEST(delta_pipeline_full_lists, distributed_window_mixes_both_modes) {
+    emulator_options opts = churny_options(5507);
+    opts.config.horizon_seconds = 200.0;  // 20 slots
+    opts.distributed_from = 60.0;         // slots 6..11 on the runtime
+    opts.distributed_to = 120.0;
+    opts.latency_per_cost = 0.02;
+    emulator checked(opts);
+    std::uint64_t pruned_before = 0;
+    std::size_t slot = 0;
+    std::size_t pruning_slots = 0;
+    step_against_unchecked_twin(checked, opts, 20, [&](const emulator&) {
+        const std::uint64_t pruned = counter_value(checked, "build.pruned_candidates");
+        const double start = 10.0 * static_cast<double>(slot);
+        if (start >= 60.0 && start < 120.0)
+            EXPECT_EQ(pruned, pruned_before) << "runtime slot " << slot << " pruned";
+        else
+            pruning_slots += pruned > pruned_before;
+        pruned_before = pruned;
+        ++slot;
+    });
+    EXPECT_GT(pruning_slots, 0u) << "no synchronous slot pruned a candidate";
+}
+
 // Rows with more than 32 neighbors do not fit the masks and run the
 // reference row builder inside the incremental build. A crowded two-video
 // swarm with 40-neighbor lists puts such rows next to mask rows in the
@@ -115,6 +158,8 @@ TEST(delta_pipeline_fallback, rows_over_32_neighbors_match_full_rebuild) {
     });
     EXPECT_GT(wide, 0u) << "no row exceeded the 32-neighbor mask width";
     EXPECT_GT(narrow, 0u) << "no row fit the masks";
+    // Under the auction both row kinds filter to profitable candidates.
+    EXPECT_GT(counter_value(checked, "build.pruned_candidates"), 0u);
 }
 
 // The delta build is emulator-side and single-threaded; the Jacobi solver's
@@ -157,6 +202,33 @@ TEST(delta_pipeline_warm, warm_start_slots_keeps_delta_identity) {
     emulator checked(opts);
     step_against_unchecked_twin(checked, opts, 20);
     EXPECT_GT(counter_value(checked, "delta.early_exit_slots"), 0u);
+}
+
+// The pruned-slab counters: economy_smoke's auction rounds leave out the
+// holders whose link cost exceeds the chunk's value, simple-locality's keep
+// them all. With one bidding round per slot, slot 0's problem has the same
+// uploaders under every scheduler, so the auction's emitted plus pruned
+// candidates must equal the full list simple-locality was given.
+TEST(delta_pipeline_counters, pruned_candidates_complete_the_full_lists) {
+    auto one_slot = [](const std::string& scheduler) {
+        emulator_options opts;
+        opts.config = workload::scenario_config::economy_smoke();
+        opts.scheduler = scheduler;
+        opts.bid_rounds_per_slot = 1;
+        opts.delta_shadow_check = true;
+        auto emu = std::make_unique<emulator>(std::move(opts));
+        (void)emu->step();
+        return emu;
+    };
+    const auto auction = one_slot("auction");
+    const auto locality = one_slot("simple-locality");
+    const std::uint64_t emitted = counter_value(*auction, "build.candidates");
+    const std::uint64_t pruned = counter_value(*auction, "build.pruned_candidates");
+    EXPECT_GT(pruned, 0u);
+    EXPECT_EQ(counter_value(*locality, "build.pruned_candidates"), 0u);
+    EXPECT_EQ(emitted + pruned, counter_value(*locality, "build.candidates"));
+    // Every request row is kept, emptied or not.
+    EXPECT_EQ(auction->slots()[0].requests, locality->slots()[0].requests);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "common/contracts.h"
 
 namespace p2pcd::vod {
@@ -182,6 +185,62 @@ TEST(emulator, distributed_slots_record_price_series) {
         EXPECT_LE(point.time, 30.0);
     }
     EXPECT_GT(emu.total_welfare(), 0.0);
+}
+
+// The distributed window is decided once per slot, by the slot's start: an
+// edge inside a slot never splits that slot between the runtime and the
+// synchronous solver. On small_test (10 s slots of five 2 s rounds) a
+// 15–35 s window selects exactly the slots starting at 20 s and 30 s, so it
+// must run exactly like the slot-aligned 20–40 s window, and the price
+// series must restart at 0 at both slot starts and stay inside those slots.
+// Videos outlast the horizon and upload capacity is scarce, so viewers
+// keep bidding through the window and prices move.
+TEST(emulator, distributed_window_edge_inside_a_slot_keeps_the_slot_whole) {
+    auto run = [](double from, double to) {
+        auto opts = small_options();
+        opts.config.video_size_mb = 6.0;  // 768 chunks ≈ 77 s of video
+        opts.config.seed_upload_multiple = 1.0;
+        opts.config.peer_upload_min_multiple = 0.5;
+        opts.config.peer_upload_max_multiple = 1.0;
+        opts.distributed_from = from;
+        opts.distributed_to = to;
+        opts.latency_per_cost = 0.02;
+        auto emu = std::make_unique<emulator>(opts);
+        emu->run();
+        return emu;
+    };
+    const auto mid = run(15.0, 35.0);
+    const auto aligned = run(20.0, 40.0);
+    ASSERT_EQ(mid->slots().size(), aligned->slots().size());
+    for (std::size_t k = 0; k < mid->slots().size(); ++k) {
+        const slot_metrics& a = mid->slots()[k];
+        const slot_metrics& b = aligned->slots()[k];
+        EXPECT_EQ(a.requests, b.requests) << "slot " << k;
+        EXPECT_EQ(a.transfers, b.transfers) << "slot " << k;
+        EXPECT_EQ(a.auction_bids, b.auction_bids) << "slot " << k;
+        EXPECT_EQ(a.social_welfare, b.social_welfare) << "slot " << k;
+    }
+
+    const auto& points = mid->price_series().points();
+    const auto& aligned_points = aligned->price_series().points();
+    ASSERT_EQ(points.size(), aligned_points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(points[i].time, aligned_points[i].time) << "point " << i;
+        EXPECT_EQ(points[i].value, aligned_points[i].value) << "point " << i;
+    }
+    for (double start : {20.0, 30.0}) {
+        const auto restart = std::find_if(
+            points.begin(), points.end(),
+            [&](const metrics::sample_point& p) { return p.time >= start; });
+        ASSERT_NE(restart, points.end()) << "no point from " << start << " s";
+        EXPECT_EQ(restart->time, start) << "slot " << start << " s has no restart";
+        EXPECT_EQ(restart->value, 0.0) << "slot " << start << " s has no restart";
+    }
+    EXPECT_GT(points.size(), 2u) << "no price moved in the window";
+    for (const auto& point : points) {
+        EXPECT_GE(point.time, 20.0) << "a round outside the distributed slots";
+        EXPECT_LT(point.time, 40.0) << "a round outside the distributed slots";
+    }
 }
 
 TEST(emulator, step_advances_one_slot) {

@@ -15,13 +15,19 @@
 //    requests hold a margin within ε of their best and ≥ −ε, exhausted
 //    requests have no positive margin left, and any price above its phase-
 //    initial value certifies a saturated uploader.
+//  * the profitable-candidate contract — stripping every candidate with
+//    v − w < 0 leaves both auctions' outcomes bit-identical (the emulator
+//    builds their rounds that way), while simple-locality's schedule moves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "baseline/simple_locality.h"
 #include "core/auction.h"
 #include "core/exact.h"
 #include "core/parallel_auction.h"
@@ -370,6 +376,136 @@ TEST(epsilon_scaling_properties, adaptive_ladder_tracks_contention) {
     auto scarce_result = adaptive.run(scarce_problem);
     EXPECT_GE(scarce_result.phase_trace.size(), 2u);
     EXPECT_GT(scarce_result.phase_trace.front().epsilon, 1e-3);
+}
+
+// The emulator builds the auctions' rounds from profitable candidates only
+// (w ≤ v). This strips every candidate with v − w < 0 from an instance,
+// keeping every request row (possibly empty) and the order of the rest.
+scheduling_problem strip_unprofitable(const problem_view& problem) {
+    scheduling_problem out;
+    for (const auto& u : problem.all_uploaders()) out.add_uploader(u.who, u.capacity);
+    for (std::size_t r = 0; r < problem.num_requests(); ++r) {
+        const request_info& req = problem.request(r);
+        out.add_request(req.downstream, req.chunk, req.valuation);
+        for (const auto& c : problem.candidates(r))
+            if (!(req.valuation - c.cost < 0.0)) out.append_candidate(c.uploader, c.cost);
+    }
+    return out;
+}
+
+// Per request: the chosen uploader's index, or −1 — comparable across an
+// instance and its stripped copy, whose candidate ordinals differ.
+std::vector<std::ptrdiff_t> chosen_uploaders(const problem_view& problem,
+                                             const schedule& sched) {
+    std::vector<std::ptrdiff_t> out(problem.num_requests(), -1);
+    for (std::size_t r = 0; r < problem.num_requests(); ++r)
+        if (sched.assigned(r))
+            out[r] = static_cast<std::ptrdiff_t>(
+                problem.candidates(r)[static_cast<std::size_t>(sched.choice[r])]
+                    .uploader);
+    return out;
+}
+
+void expect_same_outcome(const problem_view& full, const auction_result& a,
+                         const problem_view& stripped, const auction_result& b,
+                         const std::string& what) {
+    EXPECT_EQ(chosen_uploaders(full, a.sched), chosen_uploaders(stripped, b.sched))
+        << what;
+    ASSERT_EQ(a.prices.size(), b.prices.size()) << what;
+    for (std::size_t u = 0; u < a.prices.size(); ++u)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.prices[u]),
+                  std::bit_cast<std::uint64_t>(b.prices[u]))
+            << what << " uploader " << u;
+    EXPECT_EQ(a.bids_submitted, b.bids_submitted) << what;
+    EXPECT_EQ(a.phases_run, b.phases_run) << what;
+}
+
+// Non-negative dyadic warm-start prices (k/8, up to 2), one per uploader.
+std::vector<double> warm_prices(std::size_t nu, std::uint64_t seed) {
+    sim::rng_stream rng(seed);
+    std::vector<double> prices(nu);
+    for (double& p : prices) p = static_cast<double>(rng.uniform_int(0, 16)) / 8.0;
+    return prices;
+}
+
+// A candidate with v − w < 0 has margin (v − w) − λ < 0 for every λ ≥ 0, so
+// it never wins a bid, and the outside option already floors φ̂ at 0; the
+// other candidates keep their order, so the strict-> tie-breaks pick the
+// same uploader. Both auctions must therefore produce the same uploaders,
+// bit-identical prices and the same counters, cold and warm-started.
+TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_identical) {
+    const std::vector<std::pair<std::string, auction_options>> serial = {
+        {"epsilon", {.bidding = {bid_policy::epsilon, 0.05}}},
+        {"epsilon-adaptive",
+         {.bidding = {bid_policy::epsilon, 0.05},
+          .epsilon_scaling = true,
+          .adaptive_scaling = true}},
+        {"paper-literal", {.bidding = {bid_policy::paper_literal, 0.0}}},
+    };
+    std::size_t stripped_candidates = 0;
+    std::size_t emptied_rows = 0;
+    for (std::uint64_t seed = 0; seed < 120; ++seed) {
+        const auto problem = make_degenerate_instance(seed * 0x9e3779b97f4a7c15ull + 3);
+        const auto stripped = strip_unprofitable(problem);
+        ASSERT_EQ(stripped.num_requests(), problem.num_requests());
+        stripped_candidates += problem.num_candidates() - stripped.num_candidates();
+        for (std::size_t r = 0; r < problem.num_requests(); ++r)
+            emptied_rows += !problem.candidates(r).empty() &&
+                            stripped.candidates(r).empty();
+        const auto warm = warm_prices(problem.num_uploaders(), seed + 1);
+
+        for (const auto& [name, options] : serial) {
+            for (const bool warm_start : {false, true}) {
+                auction_solver on_full(options);
+                auction_solver on_stripped(options);
+                const auto a = warm_start ? on_full.run(problem, warm)
+                                          : on_full.run(problem);
+                const auto b = warm_start ? on_stripped.run(stripped, warm)
+                                          : on_stripped.run(stripped);
+                expect_same_outcome(problem, a, stripped, b,
+                                    "auction " + name + (warm_start ? " warm" : " cold") +
+                                        " seed " + std::to_string(seed));
+            }
+        }
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            for (const bool warm_start : {false, true}) {
+                const parallel_auction_options options{
+                    .bidding = {bid_policy::epsilon, 0.05},
+                    .epsilon_scaling = true,
+                    .adaptive_scaling = true,
+                    .num_threads = threads,
+                    .grain = 1};
+                parallel_auction_solver on_full(options);
+                parallel_auction_solver on_stripped(options);
+                const auto a = warm_start ? on_full.run(problem, warm)
+                                          : on_full.run(problem);
+                const auto b = warm_start ? on_stripped.run(stripped, warm)
+                                          : on_stripped.run(stripped);
+                expect_same_outcome(problem, a, stripped, b,
+                                    "auction-par t" + std::to_string(threads) +
+                                        (warm_start ? " warm" : " cold") + " seed " +
+                                        std::to_string(seed));
+            }
+        }
+    }
+    EXPECT_GT(stripped_candidates, 0u) << "the corpus must hold unprofitable candidates";
+    EXPECT_GT(emptied_rows, 0u) << "the corpus must empty some rows entirely";
+}
+
+// Negative control: simple-locality knocks at the cheapest candidate whatever
+// its margin, so stripping changes its schedule — which is why the emulator
+// keeps full lists for every scheduler but the two auctions.
+TEST(profitable_candidates, stripping_changes_the_locality_schedule) {
+    baseline::simple_locality_scheduler locality;
+    std::size_t changed = 0;
+    for (std::uint64_t seed = 0; seed < 120; ++seed) {
+        const auto problem = make_degenerate_instance(seed * 0x9e3779b97f4a7c15ull + 3);
+        const auto stripped = strip_unprofitable(problem);
+        const auto full_choice = chosen_uploaders(problem, locality.solve(problem));
+        const auto stripped_choice = chosen_uploaders(stripped, locality.solve(stripped));
+        changed += full_choice != stripped_choice;
+    }
+    EXPECT_GT(changed, 0u);
 }
 
 }  // namespace

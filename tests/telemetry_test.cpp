@@ -755,6 +755,12 @@ TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
                   "delta.early_exit_slots"})
                 EXPECT_GT(metrics.find(name), metrics.find("ledger.bytes_transit"))
                     << metrics;
+            // The build's candidate counters append after the delta ones.
+            for (const char* name : {"build.candidates", "build.pruned_candidates"}) {
+                ASSERT_NE(metrics.find(name), std::string::npos) << metrics;
+                EXPECT_GT(metrics.find(name), metrics.find("delta.early_exit_slots"))
+                    << metrics;
+            }
             continue;
         }
         if (parsed.scalars.at("kind") != "\"slot\"") continue;
