@@ -101,15 +101,16 @@ double cost_model::cached_draw(std::uint64_t key) const {
     }
     ++cache_misses_;
     // The draw is a pure function of (link_seed, pair, class): mix seed and
-    // pair into a throwaway stream (the class picks the distribution), so
-    // costs are reproducible and churn-proof.
+    // pair into the seed of the link's std::mt19937_64 (the class picks the
+    // distribution; its two to four outputs come from the seed's 157-word
+    // prefix), so costs are reproducible and churn-proof.
     const bool crosses = (key >> 63) != 0;
     const std::uint64_t pair_key = key & ~(std::uint64_t{1} << 63);
     std::uint64_t mixed = link_seed_ ^ (pair_key * 0x9e3779b97f4a7c15ull);
     mixed ^= mixed >> 29;
     mixed *= 0xbf58476d1ce4e5b9ull;
     mixed ^= mixed >> 32;
-    sim::rng_stream link_rng(mixed);
+    sim::mt19937_64_prefix link_rng(mixed);
     const double draw = crosses ? inter_.sample(link_rng) : intra_.sample(link_rng);
     if (cache_count_ >= params_.cache_capacity) {
         std::fill(cache_keys_.begin(), cache_keys_.end(), cache_empty);

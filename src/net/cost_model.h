@@ -9,8 +9,10 @@
 // pure function of (seed, u, d, crossing class), so the model is
 // reproducible, needs no upfront O(peers²) table, and survives churn (a
 // re-queried pair always gets the same cost; a peer re-added to a different
-// ISP re-draws under its new class). `symmetric` (default) makes
-// w(u,d) == w(d,u), as expected of link latency.
+// ISP re-draws under its new class). A draw reads the first few outputs of
+// a link-seeded std::mt19937_64, computed exactly from the seed's 157-word
+// prefix (sim::mt19937_64_prefix) instead of a full seeding and twist.
+// `symmetric` (default) makes w(u,d) == w(d,u), as expected of link latency.
 //
 // ISP economy: `attach_peering` plugs in an `isp::peering_graph`, and the
 // flat inter/intra dichotomy generalizes to the per-ISP-pair price matrix.

@@ -13,17 +13,6 @@ truncated_normal::truncated_normal(double mean, double stddev, double lo, double
     expects(lo < hi, "truncated_normal requires lo < hi");
 }
 
-double truncated_normal::sample(rng_stream& rng) const {
-    constexpr int max_tries = 64;
-    for (int i = 0; i < max_tries; ++i) {
-        double x = rng.normal(mean_, stddev_);
-        if (x >= lo_ && x <= hi_) return x;
-    }
-    // The truncation window is far in the tail; fall back to clamping, which
-    // preserves boundedness (the property the paper relies on).
-    return std::clamp(rng.normal(mean_, stddev_), lo_, hi_);
-}
-
 zipf_mandelbrot::zipf_mandelbrot(std::size_t n, double alpha, double q)
     : alpha_(alpha), q_(q) {
     expects(n > 0, "zipf_mandelbrot requires at least one rank");

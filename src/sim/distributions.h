@@ -8,7 +8,9 @@
 #ifndef P2PCD_SIM_DISTRIBUTIONS_H
 #define P2PCD_SIM_DISTRIBUTIONS_H
 
+#include <algorithm>
 #include <cstddef>
+#include <random>
 #include <vector>
 
 #include "sim/rng.h"
@@ -17,12 +19,25 @@ namespace p2pcd::sim {
 
 // Normal distribution conditioned on [lo, hi], sampled by rejection. The
 // acceptance probability for the paper's parameters is high (>60%); a bounded
-// retry count plus clamping keeps the sampler total.
+// retry count plus clamping keeps the sampler total. One implementation for
+// every generator (a fresh std::normal_distribution per try), so an
+// rng_stream and an mt19937_64_prefix on one seed draw the same sample.
 class truncated_normal {
 public:
     truncated_normal(double mean, double stddev, double lo, double hi);
 
-    [[nodiscard]] double sample(rng_stream& rng) const;
+    template <class URBG>
+    [[nodiscard]] double sample(URBG& gen) const {
+        constexpr int max_tries = 64;
+        for (int i = 0; i < max_tries; ++i) {
+            const double x = std::normal_distribution<double>(mean_, stddev_)(gen);
+            if (x >= lo_ && x <= hi_) return x;
+        }
+        // The truncation window is far in the tail; fall back to clamping,
+        // which preserves boundedness (the property the paper relies on).
+        return std::clamp(std::normal_distribution<double>(mean_, stddev_)(gen), lo_, hi_);
+    }
+    [[nodiscard]] double sample(rng_stream& rng) const { return sample(rng.engine()); }
 
     [[nodiscard]] double mean() const noexcept { return mean_; }
     [[nodiscard]] double stddev() const noexcept { return stddev_; }

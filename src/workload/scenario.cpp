@@ -14,6 +14,8 @@ void scenario_config::validate() const {
     expects(peer_upload_min_multiple > 0.0 &&
                 peer_upload_max_multiple >= peer_upload_min_multiple,
             "peer upload range must be positive and ordered");
+    expects(seed_upload_multiple > 0.0, "seed_upload_multiple must be positive");
+    expects(arrival_rate >= 0.0, "arrival_rate must be non-negative (and not NaN)");
     expects(departure_probability >= 0.0 && departure_probability <= 1.0,
             "departure probability must be in [0,1]");
     expects(valuation_min <= valuation_max, "valuation clamp range must be ordered");

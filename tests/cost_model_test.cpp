@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/contracts.h"
+#include "pipeline_golden.h"
 
 namespace p2pcd::net {
 namespace {
@@ -201,6 +205,63 @@ TEST(cost_model, readded_peer_in_new_isp_redraws_its_class_flush_or_not) {
     }
     EXPECT_GT(costs.cache_stats().flushes, 0u);
     EXPECT_DOUBLE_EQ(costs.cost(peer_id(0), peer_id(1)), inter);
+}
+
+// Every link draw pinned bit for bit: the hash of cost(u, d) over every
+// ordered pair of a 300-peer, 5-ISP topology, in four setups (default
+// params, asymmetric draws, a non-flat peering graph, a surcharge table).
+// Folded with the slot goldens' spec (tests/pipeline_golden.h); captured
+// 2026-10-17 on GCC 12 / x86-64 from the std::mt19937_64-per-miss sampler,
+// so a faster draw path must reproduce the same costs exactly.
+// P2PCD_GOLDEN_DUMP=1 prints this build's hashes.
+TEST(cost_model, link_draws_match_golden) {
+    constexpr int peers = 300;
+    constexpr std::size_t isps = 5;
+    isp_topology topo(isps);
+    for (int i = 0; i < peers; ++i) topo.add_peer(peer_id(i), isp_id((i * 7 + i / 11) % 5));
+
+    isp::peering_graph graph(isps);
+    std::array<double, isps * isps> surcharge{};
+    for (std::size_t m = 0; m < isps; ++m)
+        for (std::size_t n = 0; n < isps; ++n) {
+            const double price = m == n ? 0.5 + 0.1 * static_cast<double>(m)
+                                        : 2.0 + static_cast<double>(m) +
+                                              0.5 * static_cast<double>(n);
+            graph.set_price(isp_id(static_cast<std::int32_t>(m)),
+                            isp_id(static_cast<std::int32_t>(n)), price);
+            surcharge[m * isps + n] = 1.0 + 0.25 * static_cast<double>((m * isps + n) % 3);
+        }
+
+    enum class setup { defaults, asymmetric, peering, surcharge };
+    auto hash_setup = [&](setup s) {
+        cost_params params;
+        if (s == setup::asymmetric) params.symmetric = false;
+        sim::rng_stream rng(2026);
+        cost_model costs(topo, params, rng);
+        if (s == setup::peering) costs.attach_peering(&graph);
+        if (s == setup::surcharge) costs.attach_surcharge(surcharge.data());
+        std::uint64_t h = vod::golden_seed;
+        for (int u = 0; u < peers; ++u)
+            for (int d = 0; d < peers; ++d)
+                if (u != d) vod::golden_mix(h, costs.cost(peer_id(u), peer_id(d)));
+        return h;
+    };
+    const std::array<std::uint64_t, 4> got = {
+        hash_setup(setup::defaults), hash_setup(setup::asymmetric),
+        hash_setup(setup::peering), hash_setup(setup::surcharge)};
+    if (std::getenv("P2PCD_GOLDEN_DUMP") != nullptr)
+        for (std::uint64_t h : got)
+            std::printf("GOLDEN link_draws %016llxull\n", static_cast<unsigned long long>(h));
+    if (!vod::golden_toolchain && std::getenv("P2PCD_GOLDEN_STRICT") == nullptr)
+        GTEST_SKIP() << "golden constants were captured with GCC/x86-64; "
+                        "set P2PCD_GOLDEN_STRICT=1 to compare anyway";
+    constexpr std::array<std::uint64_t, 4> golden = {
+        0x0db171e5f84c0ca7ull, 0x124326f125313617ull, 0x1aeccddc1da08985ull,
+        0x8be009d2e594138eull};
+    EXPECT_EQ(got[0], golden[0]) << "default-params draws diverged";
+    EXPECT_EQ(got[1], golden[1]) << "asymmetric draws diverged";
+    EXPECT_EQ(got[2], golden[2]) << "peering-priced draws diverged";
+    EXPECT_EQ(got[3], golden[3]) << "surcharged draws diverged";
 }
 
 TEST(cost_model, zero_cache_capacity_is_rejected) {

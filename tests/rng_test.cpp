@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace p2pcd::sim {
 namespace {
 
@@ -35,6 +39,32 @@ TEST(rng, bernoulli_extremes) {
     for (int i = 0; i < 50; ++i) {
         EXPECT_FALSE(r.bernoulli(0.0));
         EXPECT_TRUE(r.bernoulli(1.0));
+    }
+}
+
+TEST(mt19937_64_prefix, matches_std_engine_output_for_output) {
+    // 10k seeds (the extremes, a few structured ones, the rest splitmix-
+    // scattered) at sequence lengths straddling the prefix limit: 156
+    // outputs come from the seed prefix, the 157th on from the handover.
+    std::vector<std::uint64_t> seeds = {0, ~std::uint64_t{0}, 1, 5489,
+                                        std::uint64_t{1} << 63};
+    std::uint64_t x = 0;
+    while (seeds.size() < 10000) {
+        std::uint64_t z = (x += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        seeds.push_back(z ^ (z >> 31));
+    }
+    std::vector<std::uint64_t> expected(400);
+    for (std::uint64_t seed : seeds) {
+        std::mt19937_64 reference(seed);
+        for (auto& out : expected) out = reference();
+        for (std::size_t length : {1u, 155u, 156u, 157u, 400u}) {
+            mt19937_64_prefix prefix(seed);
+            for (std::size_t k = 0; k < length; ++k)
+                ASSERT_EQ(prefix(), expected[k])
+                    << "seed " << seed << " output " << k << " of " << length;
+        }
     }
 }
 

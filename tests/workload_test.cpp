@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.h"
 #include "workload/instance_gen.h"
@@ -46,6 +47,18 @@ TEST(scenario, validation_rejects_nonsense) {
     EXPECT_THROW(cfg.validate(), contract_violation);
     cfg = scenario_config::paper_dynamic();
     cfg.horizon_seconds = 1.0;
+    EXPECT_THROW(cfg.validate(), contract_violation);
+    cfg = scenario_config::paper_dynamic();
+    cfg.arrival_rate = -5.0;
+    EXPECT_THROW(cfg.validate(), contract_violation);
+    cfg = scenario_config::paper_dynamic();
+    cfg.arrival_rate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(cfg.validate(), contract_violation);
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = 0.0;
+    EXPECT_THROW(cfg.validate(), contract_violation);
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = -1.0;
     EXPECT_THROW(cfg.validate(), contract_violation);
 }
 
