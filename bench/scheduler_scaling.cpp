@@ -119,6 +119,9 @@ int main() {
             core::scheduler_params sp;
             sp.seed = bench::bench_seed();
             if (par_threads != 0) sp.parallel_auction.num_threads = par_threads;
+            // The warm row times run(): like the emulator's warm rounds and
+            // every other row's solve(), it skips dual recovery.
+            if (warm) sp.auction.compute_request_utilities = false;
             std::string base = name;
             if (warm) base = "auction";
             if (par_threads != 0) base = "auction-par";

@@ -10,6 +10,10 @@
 //   $ ./experiment_runner --fleet fleet_smoke --threads 4
 //   $ ./experiment_runner --list
 //
+// A flag value that is not a whole in-range number, or a configuration the
+// emulator or fleet rejects, prints "experiment_runner: <reason>" on stderr
+// and exits 2 before anything runs.
+//
 // Flags (defaults in brackets):
 //   --list           print registered schedulers, scenarios and fleets, exit
 //   --fleet NAME     run a registered multi-swarm fleet on the engine instead
@@ -58,11 +62,14 @@
 //   --trace-out FILE enable the per-phase span recorder and write a Chrome
 //                    trace_event JSON (chrome://tracing / Perfetto) to FILE;
 //                    in --fleet mode the trace is swarm 0's
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "baseline/registry.h"
@@ -85,6 +92,40 @@ using namespace p2pcd;
     std::cerr << "experiment_runner: " << complaint
               << "\nsee the header of examples/experiment_runner.cpp for flags\n";
     std::exit(2);
+}
+
+// A flag's value as a T, or a usage error: the whole string must be one
+// base-10 number (no sign on unsigned flags, nothing trailing) that fits T,
+// and a floating-point value must be finite.
+template <class T>
+T parse_number(const std::string& flag, const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error == std::errc::result_out_of_range)
+        usage("flag " + flag + " value '" + text + "' is out of range");
+    if (error != std::errc() || stop != end)
+        usage("flag " + flag + " needs a " +
+              (std::is_unsigned_v<T> ? "non-negative integer" : "number") +
+              ", got '" + text + "'");
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value))
+            usage("flag " + flag + " value '" + text + "' is not finite");
+    }
+    return value;
+}
+
+// Builds an emulator or fleet; a configuration its constructor rejects is a
+// usage error. The message is copied out so usage() runs after the handler.
+template <class T, class Options>
+T build_or_usage(Options&& options) {
+    std::string complaint;
+    try {
+        return T(std::forward<Options>(options));
+    } catch (const contract_violation& broken) {
+        complaint = broken.what();
+    }
+    usage(complaint);
 }
 
 std::string canonical_algo(std::string name) {
@@ -142,7 +183,7 @@ int run_fleet(workload::fleet_config cfg, std::size_t threads,
     options.telemetry.every_slots = telemetry_every;
     options.telemetry.record_spans = !trace_path.empty();
 
-    engine::fleet fleet(std::move(options));
+    engine::fleet fleet = build_or_usage<engine::fleet>(std::move(options));
     std::cout << "fleet: " << fleet.num_swarms() << " swarms, ~"
               << metrics::format_double(fleet.total_expected_viewers(), 0)
               << " viewers, " << fleet.threads() << " thread(s)\n";
@@ -230,39 +271,44 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage("flag " + flag + " needs a value");
             return argv[++i];
         };
+        auto count = [&] { return parse_number<std::size_t>(flag, next()); };
+        auto real = [&] { return parse_number<double>(flag, next()); };
         if (flag == "--list") {
             print_registries();
             return 0;
         }
         else if (flag == "--algo") opts.scheduler = canonical_algo(next());
         else if (flag == "--scenario") (void)next();  // applied in the pre-pass
-        else if (flag == "--peers") cfg.initial_peers = std::stoul(next());
-        else if (flag == "--arrival") cfg.arrival_rate = std::stod(next());
-        else if (flag == "--departure") cfg.departure_probability = std::stod(next());
-        else if (flag == "--videos") cfg.num_videos = std::stoul(next());
-        else if (flag == "--isps") cfg.num_isps = std::stoul(next());
-        else if (flag == "--neighbors") cfg.neighbor_count = std::stoul(next());
-        else if (flag == "--seeds") cfg.seeds_per_isp_per_video = std::stoul(next());
-        else if (flag == "--seed-upload") cfg.seed_upload_multiple = std::stod(next());
-        else if (flag == "--horizon") cfg.horizon_seconds = std::stod(next());
-        else if (flag == "--seed") { cfg.master_seed = std::stoull(next()); seed_given = true; }
+        else if (flag == "--peers") cfg.initial_peers = count();
+        else if (flag == "--arrival") cfg.arrival_rate = real();
+        else if (flag == "--departure") cfg.departure_probability = real();
+        else if (flag == "--videos") cfg.num_videos = count();
+        else if (flag == "--isps") cfg.num_isps = count();
+        else if (flag == "--neighbors") cfg.neighbor_count = count();
+        else if (flag == "--seeds") cfg.seeds_per_isp_per_video = count();
+        else if (flag == "--seed-upload") cfg.seed_upload_multiple = real();
+        else if (flag == "--horizon") cfg.horizon_seconds = real();
+        else if (flag == "--seed") {
+            cfg.master_seed = parse_number<std::uint64_t>(flag, next());
+            seed_given = true;
+        }
         else if (flag == "--fleet") fleet_name = next();
         else if (flag == "--threads") {
-            threads = std::stoul(next());
+            threads = count();
             if (threads == 0) threads = engine::thread_pool::default_thread_count();
         }
-        else if (flag == "--swarms") swarms_override = std::stoul(next());
-        else if (flag == "--rounds") opts.bid_rounds_per_slot = std::stoul(next());
-        else if (flag == "--epsilon") opts.auction.bidding.epsilon = std::stod(next());
+        else if (flag == "--swarms") swarms_override = count();
+        else if (flag == "--rounds") opts.bid_rounds_per_slot = count();
+        else if (flag == "--epsilon") opts.auction.bidding.epsilon = real();
         else if (flag == "--warm-rounds") opts.warm_start = vod::warm_start_mode::rounds;
         else if (flag == "--csv") csv_path = next();
         else if (flag == "--telemetry-out") telemetry_path = next();
-        else if (flag == "--telemetry-every") telemetry_every = std::stoul(next());
+        else if (flag == "--telemetry-every") telemetry_every = count();
         else if (flag == "--trace-out") trace_path = next();
         else if (flag == "--isp-economy") economy_requested = true;
         else if (flag == "--peering") { peering_override = next(); economy_requested = true; }
         else if (flag == "--epoch-slots") {
-            epoch_slots_override = std::stoul(next());
+            epoch_slots_override = count();
             economy_requested = true;
         }
         else usage("unknown flag '" + flag + "'");
@@ -309,7 +355,7 @@ int main(int argc, char** argv) {
     opts.telemetry.every_slots = telemetry_every;
     opts.telemetry.record_spans = !trace_path.empty();
 
-    vod::emulator emu(opts);
+    vod::emulator emu = build_or_usage<vod::emulator>(opts);
     metrics::time_series welfare("welfare");
     metrics::time_series inter("inter_isp_fraction");
     metrics::time_series miss("miss_rate");

@@ -6,30 +6,28 @@
 
 namespace p2pcd::core {
 
-auction_solver::auction_solver(auction_options options) : options_(options) {
-    expects(options.bidding.epsilon >= 0.0, "epsilon must be non-negative");
-    expects(options.bidding.policy == bid_policy::paper_literal ||
-                options.bidding.epsilon > 0.0,
+auction_ladder::auction_ladder(const auction_options& ladder) : ladder_(ladder) {
+    expects(ladder.bidding.epsilon >= 0.0, "epsilon must be non-negative");
+    expects(ladder.bidding.policy == bid_policy::paper_literal ||
+                ladder.bidding.epsilon > 0.0,
             "the epsilon policy requires a positive epsilon");
-    if (options.epsilon_scaling) {
-        expects(options.bidding.policy == bid_policy::epsilon,
+    if (ladder.epsilon_scaling) {
+        expects(ladder.bidding.policy == bid_policy::epsilon,
                 "epsilon scaling requires the epsilon bid policy");
-        expects(options.scaling_factor > 1.0, "scaling factor must exceed 1");
-        expects(options.scaling_initial_epsilon >= options.bidding.epsilon,
+        expects(ladder.scaling_factor > 1.0, "scaling factor must exceed 1");
+        expects(ladder.scaling_initial_epsilon >= ladder.bidding.epsilon,
                 "initial epsilon must not be below the final epsilon");
     }
 }
 
-// One complete Gauss-Seidel auction at a fixed ε, warm-started from `prices`
-// (all zero on a cold first/only phase). Returns per-seller final prices
-// through the same vector.
+// One complete Gauss-Seidel auction at a fixed ε.
 void auction_solver::run_phase(const problem_view& problem, double epsilon,
                                std::vector<double>& prices, auction_result& result) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
     const auto uploaders = problem.all_uploaders();
 
-    bidder_options bidding = options_.bidding;
+    bidder_options bidding = ladder().bidding;
     bidding.epsilon = epsilon;
 
     result.sched.choice.assign(nr, no_candidate);
@@ -55,7 +53,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     // Raw CSR arrays for the hot loop — no per-iteration bounds checks. The
     // uploader indices and costs come straight from the problem's SoA slabs:
     // each margin is evaluated as (v − w) − λ, the same expression (and so
-    // the same doubles) as auction-par and the dual recovery below.
+    // the same doubles) as auction-par and derive_request_utilities.
     const std::uint32_t* offsets = problem.offsets().data();
     const std::uint32_t* uploader_of = problem.cand_uploaders().data();
     const double* cand_costs = problem.cand_costs().data();
@@ -79,7 +77,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
             }
             r = queue_[queue_head++];
         }
-        ensures(iterations < options_.max_bid_iterations,
+        ensures(iterations < ladder().max_bid_iterations,
                 "auction exceeded its bid-iteration budget");
         ++iterations;
         const std::size_t base = offsets[r];
@@ -164,49 +162,52 @@ std::vector<double> epsilon_schedule(const problem_view& problem, double target,
     return schedule;
 }
 
-auction_result auction_solver::run(const problem_view& problem) {
-    return run(problem, {});
+auction_result auction_ladder::run(const problem_view& problem,
+                                   std::span<const double> initial_prices) {
+    auction_result result = descend(problem, initial_prices);
+    if (ladder_.compute_request_utilities)
+        result.request_utility = derive_request_utilities(problem, result.prices);
+    return result;
 }
 
-auction_result auction_solver::run(const problem_view& problem,
-                                   std::span<const double> initial_prices) {
+schedule auction_ladder::solve(const problem_view& problem) {
+    return descend(problem, {}).sched;
+}
+
+auction_result auction_ladder::descend(const problem_view& problem,
+                                       std::span<const double> initial_prices) {
     const std::size_t nu = problem.num_uploaders();
     const std::size_t nr = problem.num_requests();
     expects(initial_prices.empty() || initial_prices.size() == nu,
             "initial price vector must cover every uploader");
+    begin_solve(problem);
 
     // The ε schedule: a single phase normally; a geometric descent from the
     // initial ε down to the target when scaling is on. A warm start from a
     // converged solve may collapse the ladder to the target rung outright —
     // decided before epsilon_schedule so the adaptive max(v−w) instance
     // sweep is skipped along with the coarse phases.
-    const bool early_exit = options_.warm_start_early_exit &&
-                            options_.epsilon_scaling && !initial_prices.empty() &&
-                            last_run_converged_;
+    const bool early_exit = ladder_.warm_start_early_exit && ladder_.epsilon_scaling &&
+                            !initial_prices.empty() && last_run_converged_;
     const std::vector<double> schedule =
-        early_exit ? std::vector<double>{options_.bidding.epsilon}
-                   : epsilon_schedule(problem, options_.bidding.epsilon,
-                                      options_.scaling_initial_epsilon,
-                                      options_.scaling_factor,
-                                      options_.epsilon_scaling,
-                                      options_.adaptive_scaling);
+        early_exit ? std::vector<double>{ladder_.bidding.epsilon}
+                   : epsilon_schedule(problem, ladder_.bidding.epsilon,
+                                      ladder_.scaling_initial_epsilon,
+                                      ladder_.scaling_factor, ladder_.epsilon_scaling,
+                                      ladder_.adaptive_scaling);
 
+    const std::uint32_t* offsets = problem.offsets().data();
+    const std::uint32_t* cand_up = problem.cand_uploaders().data();
     auction_result result;
     std::vector<double> prices(nu, 0.0);
     if (!initial_prices.empty())
         std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
     for (std::size_t k = 0; k < schedule.size(); ++k) {
-        auction_result phase;
-        run_phase(problem, schedule[k], prices, phase);
         // Counters accumulate across phases; the schedule of the last phase
         // is the answer.
-        phase.bids_submitted += result.bids_submitted;
-        phase.evictions += result.evictions;
-        phase.abstentions += result.abstentions;
-        phase.phases_run = result.phases_run + 1;
-        phase.phase_trace = std::move(result.phase_trace);
-        result = std::move(phase);
-        if (options_.record_phase_trace)
+        run_phase(problem, schedule[k], prices, result);
+        ++result.phases_run;
+        if (ladder_.record_phase_trace)
             result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
 
         // Between phases, repair complementary slackness condition 1: a
@@ -218,8 +219,7 @@ auction_result auction_solver::run(const problem_view& problem,
             for (std::size_t r = 0; r < nr; ++r) {
                 std::ptrdiff_t c = result.sched.choice[r];
                 if (c != no_candidate)
-                    ++used_scratch_[problem.candidates(r)[static_cast<std::size_t>(c)]
-                                        .uploader];
+                    ++used_scratch_[cand_up[offsets[r] + static_cast<std::size_t>(c)]];
             }
             for (std::size_t u = 0; u < nu; ++u)
                 if (used_scratch_[u] < problem.uploader(u).capacity) prices[u] = 0.0;
@@ -229,33 +229,6 @@ auction_result auction_solver::run(const problem_view& problem,
     result.prices = std::move(prices);
     result.early_exited = early_exit;
     last_run_converged_ = result.converged;
-    // Dual recovery (skippable — schedule-only consumers never read η). With
-    // zero-capacity uploaders present the general helper handles their price
-    // lift; the common all-positive case sweeps the slabs directly
-    // (identical arithmetic: (v − w) − λ in both paths).
-    if (options_.compute_request_utilities) {
-        bool any_zero_capacity = false;
-        for (std::size_t u = 0; u < nu && !any_zero_capacity; ++u)
-            any_zero_capacity = problem.uploader(u).capacity == 0;
-        if (any_zero_capacity) {
-            result.request_utility = derive_request_utilities(problem, result.prices);
-        } else {
-            const std::uint32_t* offsets = problem.offsets().data();
-            const std::uint32_t* cand_up = problem.cand_uploaders().data();
-            const double* cand_costs = problem.cand_costs().data();
-            const auto requests = problem.all_requests();
-            result.request_utility.assign(nr, 0.0);
-            for (std::size_t r = 0; r < nr; ++r) {
-                const double v = requests[r].valuation;
-                double best = 0.0;
-                for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-                    double margin = v - cand_costs[k] - result.prices[cand_up[k]];
-                    if (margin > best) best = margin;
-                }
-                result.request_utility[r] = best;
-            }
-        }
-    }
     return result;
 }
 
@@ -265,48 +238,59 @@ std::vector<double> derive_request_utilities(const problem_view& problem,
             "price vector must cover every uploader");
     const std::size_t nu = problem.num_uploaders();
     const std::size_t nr = problem.num_requests();
+    const std::uint32_t* offsets = problem.offsets().data();
+    const std::uint32_t* cand_up = problem.cand_uploaders().data();
+    const double* cand_costs = problem.cand_costs().data();
+    const auto requests = problem.all_requests();
+    const auto uploaders = problem.all_uploaders();
 
     // Zero-capacity uploaders never sell; their dual price is free in the
     // objective (B(u)·λ_u = 0), so lift it just enough for dual feasibility.
+    // Every other margin is (v − w) − λ, the auctions' own bid expression.
     std::vector<double> zero_cap_price(nu, 0.0);
     std::vector<double> utilities(nr, 0.0);
     for (std::size_t r = 0; r < nr; ++r) {
+        const double v = requests[r].valuation;
         double best = 0.0;
-        for (const auto& c : problem.candidates(r)) {
-            double margin = problem.request(r).valuation - c.cost;
-            if (problem.uploader(c.uploader).capacity == 0) {
-                if (margin > zero_cap_price[c.uploader])
-                    zero_cap_price[c.uploader] = margin;
+        for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+            const std::uint32_t u = cand_up[k];
+            double margin = v - cand_costs[k];
+            if (uploaders[u].capacity == 0) {
+                if (margin > zero_cap_price[u]) zero_cap_price[u] = margin;
                 continue;
             }
-            margin -= prices[c.uploader];
+            margin -= prices[u];
             if (margin > best) best = margin;
         }
         utilities[r] = best;
     }
     for (std::size_t u = 0; u < nu; ++u)
-        if (problem.uploader(u).capacity == 0) prices[u] = zero_cap_price[u];
+        if (uploaders[u].capacity == 0) prices[u] = zero_cap_price[u];
     return utilities;
 }
 
-schedule auction_solver::solve(const problem_view& problem) {
-    return run(problem).sched;
+void auction_ladder::shed_memory() {
+    std::vector<std::int64_t>().swap(used_scratch_);
+}
+
+std::size_t auction_ladder::workspace_bytes() const {
+    return used_scratch_.capacity() * sizeof(std::int64_t);
 }
 
 void auction_solver::shed_memory() {
+    auction_ladder::shed_memory();
     std::vector<auctioneer>().swap(sellers_);
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
     std::vector<double>().swap(price_cache_);
-    std::vector<std::int64_t>().swap(used_scratch_);
 }
 
 std::size_t auction_solver::workspace_bytes() const {
-    std::size_t bytes = sellers_.capacity() * sizeof(auctioneer) +
+    std::size_t bytes = auction_ladder::workspace_bytes() +
+                        sellers_.capacity() * sizeof(auctioneer) +
                         queue_.capacity() * sizeof(std::size_t) +
                         parked_.capacity() * sizeof(parked_entry) +
-                        price_cache_.capacity() * sizeof(double) +
-                        used_scratch_.capacity() * sizeof(std::int64_t);
+                        price_cache_.capacity() * sizeof(double);
     for (const auto& s : sellers_) bytes += s.heap_bytes();
     return bytes;
 }

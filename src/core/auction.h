@@ -1,21 +1,29 @@
-// Synchronous (Gauss-Seidel) driver of the paper's distributed auctions.
+// The ε-scaling ladder of the paper's auction (Sec. IV-B/IV-C), and its
+// synchronous (Gauss-Seidel) phase kernel.
 //
-// Bids are processed one at a time against up-to-date prices; this computes
-// the same fixed point as the message-level runtime in src/vod (both satisfy
-// ε-complementary slackness at termination) and is what the emulator uses for
-// per-slot scheduling. Theorem 1's guarantees, as verified by the test suite:
+// `auction_ladder` is the part both centralized auctions share: the
+// warm-start early-exit gate, the ε schedule, counters accumulated across
+// phases, the inter-phase spare-capacity repair and dual recovery. A solver
+// supplies only its fixed-ε phase: `auction_solver` below processes bids one
+// at a time against up-to-date prices; `parallel_auction_solver`
+// (core/parallel_auction.h) runs Jacobi bidding rounds.
+//
+// The synchronous solver computes the same fixed point as the message-level
+// runtime in src/vod (both satisfy ε-complementary slackness at termination)
+// and is what the emulator uses for per-slot scheduling by default.
+// Theorem 1's guarantees, as verified by the test suite:
 //  * terminates for every instance under the ε policy;
 //  * the schedule is primal feasible and the prices λ dual feasible;
 //  * welfare ≥ optimal − (#assigned)·ε — exactly optimal on integer-valued
 //    instances when ε < 1/(#requests).
 //
-// The solver is long-lived: auctioneer heaps, the bidding queue and the
-// dense price cache persist across run()/solve() calls, so repeated solves
-// on similarly-sized problems allocate ~nothing. Its workspace is per
-// uploader and per queued request only: bids read v − w straight off the
-// problem's cost slab, so nothing per candidate is copied. run() may also be
-// warm-started from a previous round's prices (Sec. IV-C's slot price cycle),
-// mirroring what vod::auction_runtime does with its `initial_prices`.
+// The solvers are long-lived: workspaces persist across run()/solve() calls,
+// so repeated solves on similarly-sized problems allocate ~nothing. The
+// synchronous solver's workspace is per uploader and per queued request only:
+// bids read v − w straight off the problem's cost slab, so nothing per
+// candidate is copied. run() may also be warm-started from a previous round's
+// prices (Sec. IV-C's slot price cycle), mirroring what vod::auction_runtime
+// does with its `initial_prices`.
 #ifndef P2PCD_CORE_AUCTION_H
 #define P2PCD_CORE_AUCTION_H
 
@@ -56,10 +64,11 @@ struct auction_options {
     // Off by default: the trace exists for the ε-CS property tests.
     bool record_phase_trace = false;
 
-    // Dual recovery (η per request) is a full candidate sweep per solve.
+    // Dual recovery (η per request) is a full candidate sweep per run().
     // Consumers that only read the schedule and λ (the emulator) turn it
-    // off; `result.request_utility` comes back empty. Never changes the
-    // schedule or the prices.
+    // off; `result.request_utility` comes back empty and zero-capacity
+    // uploaders keep their unlifted prices. Never changes the schedule;
+    // solve() skips it regardless.
     bool compute_request_utilities = true;
 
     // Cross-slot solver reuse: when a solve is warm-started from prices of a
@@ -123,35 +132,61 @@ struct auction_result {
 [[nodiscard]] std::vector<double> derive_request_utilities(
     const problem_view& problem, std::vector<double>& prices);
 
-class auction_solver final : public scheduler {
+// The ε-scaling loop of both centralized auctions. run() descends the ε
+// schedule, calling the solver's run_phase() once per rung; between rungs a
+// seller left with spare capacity drops its price back to 0. Options are the
+// auction_options fields shared by both solvers' option structs.
+class auction_ladder : public scheduler {
 public:
-    explicit auction_solver(auction_options options = {});
-
-    // Cold start: all prices begin at 0.
-    [[nodiscard]] auction_result run(const problem_view& problem);
-
-    // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
-    // empty = cold start). With ε-scaling enabled only the first phase is
+    // λ_u begins at initial_prices[u] (must cover every uploader; empty =
+    // cold start, all prices 0). With ε-scaling only the first phase is
     // warm-started. The emulator threads a slot's prices through its bidding
-    // rounds this way when its warm_start option is on.
+    // rounds this way when its warm_start option is on. η is recovered only
+    // when compute_request_utilities is set.
     [[nodiscard]] auction_result run(const problem_view& problem,
-                                     std::span<const double> initial_prices);
+                                     std::span<const double> initial_prices = {});
 
-    [[nodiscard]] schedule solve(const problem_view& problem) override;
+    // The schedule of a cold run(); never recovers duals.
+    [[nodiscard]] schedule solve(const problem_view& problem) final;
+    void shed_memory() override;
+    [[nodiscard]] std::size_t workspace_bytes() const override;
+
+protected:
+    explicit auction_ladder(const auction_options& ladder);
+    [[nodiscard]] const auction_options& ladder() const noexcept { return ladder_; }
+
+private:
+    // Per-solve setup ahead of the first phase (auction-par lays out its
+    // seller slab here).
+    virtual void begin_solve(const problem_view&) {}
+    // One complete auction at a fixed ε, warm-started from `prices`; final
+    // per-seller prices come back through the same vector. The phase
+    // overwrites `result.sched` and adds its counts to `result`'s counters.
+    virtual void run_phase(const problem_view& problem, double epsilon,
+                           std::vector<double>& prices, auction_result& result) = 0;
+    [[nodiscard]] auction_result descend(const problem_view& problem,
+                                         std::span<const double> initial_prices);
+
+    auction_options ladder_;
+    // Whether the previous run() reached ε-CS — the warm_start_early_exit
+    // precondition (a warm start from a diverged solve must re-descend).
+    bool last_run_converged_ = false;
+    std::vector<std::int64_t> used_scratch_;  // inter-phase repair
+};
+
+class auction_solver final : public auction_ladder {
+public:
+    explicit auction_solver(auction_options options = {}) : auction_ladder(options) {}
+
     [[nodiscard]] std::string_view name() const override { return "auction"; }
     void shed_memory() override;
     [[nodiscard]] std::size_t workspace_bytes() const override;
 
-    [[nodiscard]] const auction_options& options() const noexcept { return options_; }
+    [[nodiscard]] const auction_options& options() const noexcept { return ladder(); }
 
 private:
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result);
-
-    auction_options options_;
-    // Whether the previous run() reached ε-CS — the warm_start_early_exit
-    // precondition (a warm start from a diverged solve must re-descend).
-    bool last_run_converged_ = false;
+                   std::vector<double>& prices, auction_result& result) override;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     std::vector<auctioneer> sellers_;
@@ -167,7 +202,6 @@ private:
     // (+inf for zero capacity): the per-bid gather reads this, not the
     // auctioneer objects.
     std::vector<double> price_cache_;
-    std::vector<std::int64_t> used_scratch_;  // ε-scaling inter-phase repair
 };
 
 }  // namespace p2pcd::core

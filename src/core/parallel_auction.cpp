@@ -8,17 +8,28 @@
 
 namespace p2pcd::core {
 
+namespace {
+
+// The ladder's view of the options: the fields auction_options shares.
+auction_options ladder_of(const parallel_auction_options& o) {
+    return {.bidding = o.bidding,
+            .max_bid_iterations = o.max_bid_iterations,
+            .epsilon_scaling = o.epsilon_scaling,
+            .scaling_initial_epsilon = o.scaling_initial_epsilon,
+            .scaling_factor = o.scaling_factor,
+            .adaptive_scaling = o.adaptive_scaling,
+            .record_phase_trace = o.record_phase_trace,
+            .compute_request_utilities = o.compute_request_utilities,
+            .warm_start_early_exit = o.warm_start_early_exit};
+}
+
+}  // namespace
+
 parallel_auction_solver::parallel_auction_solver(parallel_auction_options options)
-    : options_(options) {
+    : auction_ladder(ladder_of(options)), options_(options) {
     expects(options.bidding.policy == bid_policy::epsilon,
             "the parallel auction requires the epsilon bid policy: Jacobi "
             "rounds have no park/wake machinery");
-    expects(options.bidding.epsilon > 0.0, "epsilon must be positive");
-    if (options.epsilon_scaling) {
-        expects(options.scaling_factor > 1.0, "scaling factor must exceed 1");
-        expects(options.scaling_initial_epsilon >= options.bidding.epsilon,
-                "initial epsilon must not be below the final epsilon");
-    }
     expects(options.grain > 0, "grain must be positive");
 }
 
@@ -51,26 +62,44 @@ void parallel_auction_solver::for_blocks(
     });
 }
 
-// One complete Jacobi auction at a fixed ε, warm-started from `prices` (all
-// zero on a cold first/only phase); final per-seller prices are returned
-// through the same vector. Each round: every active (unassigned) request bids
-// against the round-start price snapshot, the bids are binned per uploader in
-// request order, every touched uploader settles its bin, and the round's
-// losers — rejected bidders plus evicted previous holders — become the next
-// round's active set, in ascending request order. Every step is a pure
-// function of the problem and the previous round's state, never of thread
-// scheduling, so the fixed point is bit-identical at any thread count.
-void parallel_auction_solver::run_phase(const problem_view& problem, double epsilon,
+// Lays out the seller slab: uploader u's assignment set lives at
+// heap_slab_[slab_off .. slab_off + capacity) — capacities are invariant
+// across the ε ladder, so the layout is computed once per solve.
+void parallel_auction_solver::begin_solve(const problem_view& problem) {
+    if (!pool_ && threads() > 1)
+        pool_ = std::make_unique<engine::thread_pool>(threads());
+
+    const std::size_t nu = problem.num_uploaders();
+    const auto uploaders = problem.all_uploaders();
+    sellers_.resize(nu);
+    price_cache_.resize(nu);
+    std::size_t slab_total = 0;
+    for (std::size_t u = 0; u < nu; ++u) {
+        const auto cap = static_cast<std::uint32_t>(uploaders[u].capacity);
+        sellers_[u] = {static_cast<std::uint32_t>(slab_total), 0, 0, cap};
+        slab_total += cap;
+    }
+    expects(slab_total <= 0xffffffffu, "seller slab exceeds 32-bit offsets");
+    heap_slab_.resize(slab_total);
+}
+
+// One complete Jacobi auction at a fixed ε. Each round: every active
+// (unassigned) request bids against the round-start price snapshot, the bids
+// are binned per uploader in request order, every touched uploader settles
+// its bin, and the round's losers — rejected bidders plus evicted previous
+// holders — become the next round's active set, in ascending request order.
+// Every step is a pure function of the problem and the previous round's
+// state, never of thread scheduling, so the fixed point is bit-identical at
+// any thread count.
+void parallel_auction_solver::run_phase(const problem_view& problem, double eps,
                                         std::vector<double>& prices,
                                         auction_result& result) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
 
-    const double eps = epsilon;
-
     result.sched.choice.assign(nr, no_candidate);
 
-    // Re-arm the seller slab (sized by run_impl): empty assignment sets,
+    // Re-arm the seller slab (laid out by begin_solve): empty assignment sets,
     // prices seeded from the previous phase / warm start. A zero-capacity
     // seller advertises +inf so no finite bid ever targets it.
     // On a cold phase every gatherable price is 0, so round 1's margins are
@@ -309,130 +338,8 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
         if (sellers_[u].capacity > 0) prices[u] = price_cache_[u];
 }
 
-auction_result parallel_auction_solver::run(const problem_view& problem) {
-    return run_impl(problem, {}, /*recover_duals=*/true);
-}
-
-auction_result parallel_auction_solver::run(const problem_view& problem,
-                                            std::span<const double> initial_prices) {
-    return run_impl(problem, initial_prices, /*recover_duals=*/true);
-}
-
-auction_result parallel_auction_solver::run_impl(
-    const problem_view& problem, std::span<const double> initial_prices,
-    bool recover_duals) {
-    const std::size_t nu = problem.num_uploaders();
-    const std::size_t nr = problem.num_requests();
-    expects(initial_prices.empty() || initial_prices.size() == nu,
-            "initial price vector must cover every uploader");
-
-    if (!pool_ && threads() > 1)
-        pool_ = std::make_unique<engine::thread_pool>(threads());
-
-    const std::uint32_t* offsets = problem.offsets().data();
-    const std::uint32_t* cand_up = problem.cand_uploaders().data();
-    const double* cand_costs = problem.cand_costs().data();
-
-    // Lay out the seller slab: uploader u's assignment set lives at
-    // heap_slab_[slab_off .. slab_off + capacity) — capacities are invariant
-    // across the ε ladder, so the layout is computed once per solve.
-    const auto uploaders = problem.all_uploaders();
-    sellers_.resize(nu);
-    price_cache_.resize(nu);
-    std::size_t slab_total = 0;
-    for (std::size_t u = 0; u < nu; ++u) {
-        const auto cap = static_cast<std::uint32_t>(uploaders[u].capacity);
-        sellers_[u] = {static_cast<std::uint32_t>(slab_total), 0, 0, cap};
-        slab_total += cap;
-    }
-    expects(slab_total <= 0xffffffffu, "seller slab exceeds 32-bit offsets");
-    heap_slab_.resize(slab_total);
-
-    // A warm start from a converged solve collapses the ladder to its target
-    // rung (and skips the adaptive schedule's instance sweep) — same contract
-    // as the synchronous solver.
-    const bool early_exit = options_.warm_start_early_exit &&
-                            options_.epsilon_scaling && !initial_prices.empty() &&
-                            last_run_converged_;
-    const std::vector<double> schedule =
-        early_exit ? std::vector<double>{options_.bidding.epsilon}
-                   : epsilon_schedule(problem, options_.bidding.epsilon,
-                                      options_.scaling_initial_epsilon,
-                                      options_.scaling_factor,
-                                      options_.epsilon_scaling,
-                                      options_.adaptive_scaling);
-
-    auction_result result;
-    std::vector<double> prices(nu, 0.0);
-    if (!initial_prices.empty())
-        std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
-    for (std::size_t k = 0; k < schedule.size(); ++k) {
-        auction_result phase;
-        run_phase(problem, schedule[k], prices, phase);
-        // Counters accumulate across phases; the schedule of the last phase
-        // is the answer.
-        phase.bids_submitted += result.bids_submitted;
-        phase.evictions += result.evictions;
-        phase.abstentions += result.abstentions;
-        phase.phases_run = result.phases_run + 1;
-        phase.phase_trace = std::move(result.phase_trace);
-        result = std::move(phase);
-        if (options_.record_phase_trace)
-            result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
-
-        // Between phases, repair complementary slackness condition 1: a
-        // seller that ended the phase with spare capacity cannot honestly
-        // quote a positive price, so its carried-over price falls back to 0.
-        if (k + 1 < schedule.size()) {
-            used_scratch_.assign(nu, 0);
-            for (std::size_t r = 0; r < nr; ++r) {
-                std::ptrdiff_t c = result.sched.choice[r];
-                if (c != no_candidate)
-                    ++used_scratch_[cand_up[offsets[r] + static_cast<std::size_t>(c)]];
-            }
-            for (std::size_t u = 0; u < nu; ++u)
-                if (used_scratch_[u] < problem.uploader(u).capacity) prices[u] = 0.0;
-        }
-    }
-
-    result.prices = std::move(prices);
-    result.early_exited = early_exit;
-    last_run_converged_ = result.converged;
-    if (recover_duals && options_.compute_request_utilities) {
-        // Dual recovery, as in the synchronous solver: the general helper
-        // when zero-capacity uploaders need their price lift, the flat-array
-        // sweep (parallel here) otherwise.
-        bool any_zero_capacity = false;
-        for (std::size_t u = 0; u < nu && !any_zero_capacity; ++u)
-            any_zero_capacity = problem.uploader(u).capacity == 0;
-        if (any_zero_capacity) {
-            result.request_utility = derive_request_utilities(problem, result.prices);
-        } else {
-            result.request_utility.assign(nr, 0.0);
-            const auto all_requests = problem.all_requests();
-            const double* pr = result.prices.data();
-            double* util = result.request_utility.data();
-            for_blocks(nr, options_.grain, [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t r = lo; r < hi; ++r) {
-                    const double v = all_requests[r].valuation;
-                    double best = 0.0;
-                    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-                        double margin = v - cand_costs[k] - pr[cand_up[k]];
-                        if (margin > best) best = margin;
-                    }
-                    util[r] = best;
-                }
-            });
-        }
-    }
-    return result;
-}
-
-schedule parallel_auction_solver::solve(const problem_view& problem) {
-    return run_impl(problem, {}, /*recover_duals=*/false).sched;
-}
-
 void parallel_auction_solver::shed_memory() {
+    auction_ladder::shed_memory();
     std::vector<slab_entry>().swap(heap_slab_);
     std::vector<seller_meta>().swap(sellers_);
     std::vector<double>().swap(price_cache_);
@@ -448,11 +355,11 @@ void parallel_auction_solver::shed_memory() {
     std::vector<std::uint32_t>().swap(loser_count_);
     std::vector<std::uint64_t>().swap(evict_count_);
     std::vector<std::uint32_t>().swap(touched_of_uploader_);
-    std::vector<std::int64_t>().swap(used_scratch_);
 }
 
 std::size_t parallel_auction_solver::workspace_bytes() const {
-    return heap_slab_.capacity() * sizeof(slab_entry) +
+    return auction_ladder::workspace_bytes() +
+           heap_slab_.capacity() * sizeof(slab_entry) +
            sellers_.capacity() * sizeof(seller_meta) +
            price_cache_.capacity() * sizeof(double) +
            active_.capacity() * sizeof(std::uint32_t) +
@@ -466,8 +373,7 @@ std::size_t parallel_auction_solver::workspace_bytes() const {
            bin_fill_.capacity() * sizeof(std::size_t) +
            loser_count_.capacity() * sizeof(std::uint32_t) +
            evict_count_.capacity() * sizeof(std::uint64_t) +
-           touched_of_uploader_.capacity() * sizeof(std::uint32_t) +
-           used_scratch_.capacity() * sizeof(std::int64_t);
+           touched_of_uploader_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace p2pcd::core

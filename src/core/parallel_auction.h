@@ -15,6 +15,9 @@
 //    price cell and loser slots are owned by exactly one item, so the merge
 //    is race-free by construction.
 // Losers (rejected or evicted) re-bid next round against the new prices.
+// That is one fixed-ε phase; the ε ladder around it, warm starts and dual
+// recovery are core::auction_ladder's (core/auction.h), shared with the
+// synchronous solver.
 //
 // Determinism contract: the schedule, the final prices and every counter are
 // a pure function of the problem and the options — NEVER of num_threads.
@@ -32,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/auction.h"
@@ -49,8 +51,9 @@ struct parallel_auction_options {
     bidder_options bidding{bid_policy::epsilon, 1e-3};  // ε policy required
     std::uint64_t max_bid_iterations = 100'000'000;
 
-    // ε-scaling ladder (see auction_options); adaptive by default — the new
-    // solver derives its round schedule from the instance's contention.
+    // ε-scaling ladder (see auction_options; both solvers descend it through
+    // core::auction_ladder); adaptive by default — the solver derives its
+    // round schedule from the instance's contention.
     bool epsilon_scaling = true;
     bool adaptive_scaling = true;
     double scaling_initial_epsilon = 1.0;
@@ -72,20 +75,11 @@ struct parallel_auction_options {
     std::size_t grain = 2048;
 };
 
-class parallel_auction_solver final : public scheduler {
+class parallel_auction_solver final : public auction_ladder {
 public:
     explicit parallel_auction_solver(parallel_auction_options options = {});
     ~parallel_auction_solver() override;
 
-    // Cold start: all prices begin at 0.
-    [[nodiscard]] auction_result run(const problem_view& problem);
-
-    // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
-    // empty = cold start). With ε-scaling only the first phase is warm.
-    [[nodiscard]] auction_result run(const problem_view& problem,
-                                     std::span<const double> initial_prices);
-
-    [[nodiscard]] schedule solve(const problem_view& problem) override;
     [[nodiscard]] std::string_view name() const override { return "auction-par"; }
     void shed_memory() override;
     [[nodiscard]] std::size_t workspace_bytes() const override;
@@ -109,13 +103,10 @@ private:
     };
     static constexpr std::uint32_t abstained = 0xffffffffu;
 
-    // `recover_duals` skips the final request-utility sweep — solve() only
-    // returns the schedule, so it never pays for duals nobody reads.
-    [[nodiscard]] auction_result run_impl(const problem_view& problem,
-                                          std::span<const double> initial_prices,
-                                          bool recover_duals);
+    // Starts the pool on first use and lays out the seller slab.
+    void begin_solve(const problem_view& problem) override;
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result);
+                   std::vector<double>& prices, auction_result& result) override;
     // Runs fn(begin, end) over [0, count) — inline, or as pool blocks of at
     // least `grain` items. Which worker runs which block is unobservable.
     void for_blocks(std::size_t count, std::size_t grain,
@@ -123,8 +114,6 @@ private:
 
     parallel_auction_options options_;
     std::unique_ptr<engine::thread_pool> pool_;
-    // Whether the previous run reached ε-CS (warm_start_early_exit gate).
-    bool last_run_converged_ = false;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     // Seller state lives in one flat slab instead of per-uploader auctioneer
@@ -169,7 +158,6 @@ private:
     std::vector<std::uint32_t> loser_count_; // per touched ordinal
     std::vector<std::uint64_t> evict_count_; // per touched ordinal
     std::vector<std::uint32_t> touched_of_uploader_;  // uploader -> ordinal
-    std::vector<std::int64_t> used_scratch_;  // ε-scaling inter-phase repair
 };
 
 }  // namespace p2pcd::core

@@ -139,25 +139,7 @@ const fleet_slot_metrics& fleet::step() {
     // count and of which worker ran which shard.
     fleet_slot_metrics merged;
     merged.time = last_slot_.empty() ? 0.0 : last_slot_.front().time;
-    for (const auto& slot : last_slot_) {
-        merged.online_peers += slot.online_peers;
-        merged.requests += slot.requests;
-        merged.transfers += slot.transfers;
-        merged.inter_isp_transfers += slot.inter_isp_transfers;
-        merged.social_welfare += slot.social_welfare;
-        merged.chunks_due += slot.chunks_due;
-        merged.chunks_missed += slot.chunks_missed;
-        merged.auction_bids += slot.auction_bids;
-    }
-    merged.inter_isp_fraction =
-        merged.transfers == 0
-            ? 0.0
-            : static_cast<double>(merged.inter_isp_transfers) /
-                  static_cast<double>(merged.transfers);
-    merged.miss_rate = merged.chunks_due == 0
-                           ? 0.0
-                           : static_cast<double>(merged.chunks_missed) /
-                                 static_cast<double>(merged.chunks_due);
+    for (const auto& slot : last_slot_) merged += slot;
 
     welfare_series_.record(merged.time, merged.social_welfare);
     inter_isp_series_.record(merged.time, merged.inter_isp_fraction);
@@ -313,28 +295,7 @@ void fleet::emit_header() {
 
 void fleet::emit_slot_record(const fleet_slot_metrics& m, double step_seconds) {
     obs::counter_registry merged = merged_counters();
-    obs::json_line line;
-    line.field("v", obs::jsonl_schema_version)
-        .field("kind", "fleet_slot")
-        .field("slot", slots_.size() - 1)
-        .field("time", m.time)
-        .field("online_peers", m.online_peers)
-        .field("requests", m.requests)
-        .field("transfers", m.transfers)
-        .field("inter_isp_transfers", m.inter_isp_transfers)
-        .field("inter_isp_fraction", m.inter_isp_fraction)
-        .field("social_welfare", m.social_welfare)
-        .field("chunks_due", m.chunks_due)
-        .field("chunks_missed", m.chunks_missed)
-        .field("miss_rate", m.miss_rate)
-        .field("auction_bids", m.auction_bids);
-    for (std::size_t i = 0; i < merged.entries().size(); ++i) {
-        const auto& e = merged.entries()[i];
-        if (e.kind == obs::metric_kind::counter)
-            line.field(e.name, merged.counter_at(i));
-        else
-            line.field(e.name, merged.gauge_at(i));
-    }
+    obs::json_line line = vod::slot_record("fleet_slot", slots_.size() - 1, m, merged);
     if (coupling_enabled()) {
         // Schema v2 semantic sub-objects, present only on coupled fleets —
         // an uncoupled v2 stream differs from a v1 stream only in "v".
@@ -424,32 +385,6 @@ isp::billing_statement fleet::merged_bill() const {
     for (std::size_t i = 1; i < shards_.size(); ++i)
         isp::accumulate(merged, shards_[i]->emulator().bill());
     return merged;
-}
-
-double fleet::total_welfare() const {
-    double total = 0.0;
-    for (const auto& s : slots_) total += s.social_welfare;
-    return total;
-}
-
-double fleet::overall_inter_isp_fraction() const {
-    std::uint64_t inter = 0;
-    std::uint64_t total = 0;
-    for (const auto& s : slots_) {
-        inter += s.inter_isp_transfers;
-        total += s.transfers;
-    }
-    return total == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(total);
-}
-
-double fleet::overall_miss_rate() const {
-    std::uint64_t missed = 0;
-    std::uint64_t due = 0;
-    for (const auto& s : slots_) {
-        missed += s.chunks_missed;
-        due += s.chunks_due;
-    }
-    return due == 0 ? 0.0 : static_cast<double>(missed) / static_cast<double>(due);
 }
 
 }  // namespace p2pcd::engine

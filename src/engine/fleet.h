@@ -76,21 +76,10 @@ struct fleet_rss_phases {
     double end_mb = 0.0;      // sampled at the end of run()
 };
 
-// One slot's metrics summed over every swarm (index order, so the floating-
-// point sums are reproducible).
-struct fleet_slot_metrics {
-    double time = 0.0;  // slot start, shared by all swarms
-    std::size_t online_peers = 0;
-    std::size_t requests = 0;
-    std::size_t transfers = 0;
-    std::size_t inter_isp_transfers = 0;
-    double inter_isp_fraction = 0.0;  // of this slot's fleet-wide transfers
-    double social_welfare = 0.0;
-    std::size_t chunks_due = 0;
-    std::size_t chunks_missed = 0;
-    double miss_rate = 0.0;  // of this slot's fleet-wide due chunks
-    std::uint64_t auction_bids = 0;
-};
+// One slot's metrics summed over every swarm (vod::slot_metrics' += in index
+// order, so the floating-point sums are reproducible; the rates are of the
+// fleet-wide counts).
+using fleet_slot_metrics = vod::slot_metrics;
 
 // What a slot hook sees: the slot just merged. Hooks run serially on the
 // calling thread, after the parallel shard phase and the swarm-index-ordered
@@ -154,9 +143,13 @@ public:
     }
 
     // Aggregates over all stepped slots.
-    [[nodiscard]] double total_welfare() const;
-    [[nodiscard]] double overall_inter_isp_fraction() const;
-    [[nodiscard]] double overall_miss_rate() const;
+    [[nodiscard]] double total_welfare() const { return vod::total_welfare(slots_); }
+    [[nodiscard]] double overall_inter_isp_fraction() const {
+        return vod::overall_inter_isp_fraction(slots_);
+    }
+    [[nodiscard]] double overall_miss_rate() const {
+        return vod::overall_miss_rate(slots_);
+    }
 
     // Peak process RSS in MiB sampled at the end of run() (0 before).
     [[nodiscard]] double peak_rss_mb() const noexcept { return peak_rss_mb_; }

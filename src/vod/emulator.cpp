@@ -17,6 +17,81 @@
 
 namespace p2pcd::vod {
 
+namespace {
+
+double share(std::uint64_t part, std::uint64_t whole) {
+    return whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+}  // namespace
+
+slot_metrics& operator+=(slot_metrics& into, const slot_metrics& slot) {
+    into.online_peers += slot.online_peers;
+    into.requests += slot.requests;
+    into.transfers += slot.transfers;
+    into.inter_isp_transfers += slot.inter_isp_transfers;
+    into.social_welfare += slot.social_welfare;
+    into.chunks_due += slot.chunks_due;
+    into.chunks_missed += slot.chunks_missed;
+    into.auction_bids += slot.auction_bids;
+    into.inter_isp_fraction = share(into.inter_isp_transfers, into.transfers);
+    into.miss_rate = share(into.chunks_missed, into.chunks_due);
+    return into;
+}
+
+double total_welfare(std::span<const slot_metrics> slots) {
+    double total = 0.0;
+    for (const auto& s : slots) total += s.social_welfare;
+    return total;
+}
+
+double overall_inter_isp_fraction(std::span<const slot_metrics> slots) {
+    std::uint64_t inter = 0;
+    std::uint64_t total = 0;
+    for (const auto& s : slots) {
+        inter += s.inter_isp_transfers;
+        total += s.transfers;
+    }
+    return share(inter, total);
+}
+
+double overall_miss_rate(std::span<const slot_metrics> slots) {
+    std::uint64_t missed = 0;
+    std::uint64_t due = 0;
+    for (const auto& s : slots) {
+        missed += s.chunks_missed;
+        due += s.chunks_due;
+    }
+    return share(missed, due);
+}
+
+obs::json_line slot_record(std::string_view kind, std::size_t slot,
+                           const slot_metrics& m, const obs::counter_registry& counters) {
+    obs::json_line line;
+    line.field("v", obs::jsonl_schema_version)
+        .field("kind", kind)
+        .field("slot", slot)
+        .field("time", m.time)
+        .field("online_peers", m.online_peers)
+        .field("requests", m.requests)
+        .field("transfers", m.transfers)
+        .field("inter_isp_transfers", m.inter_isp_transfers)
+        .field("inter_isp_fraction", m.inter_isp_fraction)
+        .field("social_welfare", m.social_welfare)
+        .field("chunks_due", m.chunks_due)
+        .field("chunks_missed", m.chunks_missed)
+        .field("miss_rate", m.miss_rate)
+        .field("auction_bids", m.auction_bids);
+    for (std::size_t i = 0; i < counters.entries().size(); ++i) {
+        const auto& e = counters.entries()[i];
+        if (e.kind == obs::metric_kind::counter)
+            line.field(e.name, counters.counter_at(i));
+        else
+            line.field(e.name, counters.gauge_at(i));
+    }
+    return line;
+}
+
 emulator::emulator(emulator_options options)
     : options_(std::move(options)),
       assets_(options_.assets ? options_.assets
@@ -54,8 +129,8 @@ emulator::emulator(emulator_options options)
     params.locality_max_rounds = options_.locality.max_rounds;
     params.seed = options_.config.master_seed;
     scheduler_ = registry.make(options_.scheduler, params);
+    ladder_ = dynamic_cast<core::auction_ladder*>(scheduler_.get());
     auction_ = dynamic_cast<core::auction_solver*>(scheduler_.get());
-    par_auction_ = dynamic_cast<core::parallel_auction_solver*>(scheduler_.get());
     trans_ = dynamic_cast<core::transportation_simplex_scheduler*>(scheduler_.get());
 
     // Mask window span: the widest word range a prefetch window can touch
@@ -225,28 +300,7 @@ void emulator::emit_header() {
 
 void emulator::emit_slot_record(const slot_metrics& m) {
     sample_counters();
-    obs::json_line line;
-    line.field("v", obs::jsonl_schema_version)
-        .field("kind", "slot")
-        .field("slot", slots_.size() - 1)
-        .field("time", m.time)
-        .field("online_peers", m.online_peers)
-        .field("requests", m.requests)
-        .field("transfers", m.transfers)
-        .field("inter_isp_transfers", m.inter_isp_transfers)
-        .field("inter_isp_fraction", m.inter_isp_fraction)
-        .field("social_welfare", m.social_welfare)
-        .field("chunks_due", m.chunks_due)
-        .field("chunks_missed", m.chunks_missed)
-        .field("miss_rate", m.miss_rate)
-        .field("auction_bids", m.auction_bids);
-    for (std::size_t i = 0; i < counters_.entries().size(); ++i) {
-        const auto& e = counters_.entries()[i];
-        if (e.kind == obs::metric_kind::counter)
-            line.field(e.name, counters_.counter_at(i));
-        else
-            line.field(e.name, counters_.gauge_at(i));
-    }
+    obs::json_line line = slot_record("slot", slots_.size() - 1, m, counters_);
     if (spans_.enabled()) {
         // Wall-clock delta since the previous record — segregated so the
         // semantic projection of two runs still compares byte-for-byte.
@@ -868,69 +922,44 @@ core::schedule emulator::dispatch(double round_start, double duration,
     const core::problem_view view = sp.problem.view();
     counters_.inc(c_solver_rounds_);
 
-    if (auction_ != nullptr) {
+    if (ladder_ != nullptr) {
+        // Thread the slot's λ through its bidding rounds (Sec. IV-C's price
+        // cycle): the distributed runtime always does, the centralized
+        // auctions when warm_start is on — with warm_start_mode::slots the
+        // carried prices survive slot boundaries too (step() stops resetting
+        // them). Empty prices are the cold start.
+        const bool carry = distributed || options_.warm_start != warm_start_mode::off;
+        std::vector<double> initial;
+        if (carry) {
+            initial.resize(view.num_uploaders());
+            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
+                initial[u] = slot_prices[sp.uploader_row[u]];
+        }
+        core::auction_result result;
         if (distributed) {
             runtime_options ro;
             ro.bidding = options_.auction.bidding;
             ro.duration = duration;
             ro.time_offset = round_start;
             ro.record_price_log = true;
-            ro.initial_prices.resize(view.num_uploaders(), 0.0);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                ro.initial_prices[u] = slot_prices[sp.uploader_row[u]];
+            ro.initial_prices = std::move(initial);
             ro.latency = [this](peer_id a, peer_id b) {
                 return options_.latency_per_cost * costs_->cost(a, b);
             };
             auction_runtime runtime(view, std::move(ro));
-            auto result = runtime.run();
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                slot_prices[sp.uploader_row[u]] = result.auction.prices[u];
-            for (const auto& ev : result.price_log)
+            auto outcome = runtime.run();
+            for (const auto& ev : outcome.price_log)
                 price_events_.push_back(
                     {view.uploader(ev.uploader).who, ev.time, ev.price});
             price_series_built_ = false;
-            metrics.auction_bids += result.auction.bids_submitted;
-            counters_.inc(c_solver_bids_, result.auction.bids_submitted);
-            counters_.inc(c_solver_phases_, result.auction.phases_run);
-            return std::move(result.auction.sched);
+            result = std::move(outcome.auction);
+        } else {
+            result = ladder_->run(view, initial);
+            if (result.early_exited) slot_saw_early_exit_ = true;
         }
-        core::auction_result result;
-        if (options_.warm_start != warm_start_mode::off) {
-            // Thread the slot's λ through its bidding rounds (Sec. IV-C's
-            // price cycle), exactly like the distributed path above. With
-            // warm_start_mode::slots the carried prices survive slot
-            // boundaries too (step() stops resetting them).
-            std::vector<double> initial(view.num_uploaders(), 0.0);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                initial[u] = slot_prices[sp.uploader_row[u]];
-            result = auction_->run(view, initial);
+        if (carry)
             for (std::size_t u = 0; u < view.num_uploaders(); ++u)
                 slot_prices[sp.uploader_row[u]] = result.prices[u];
-        } else {
-            result = auction_->run(view);
-        }
-        if (result.early_exited) slot_saw_early_exit_ = true;
-        metrics.auction_bids += result.bids_submitted;
-        counters_.inc(c_solver_bids_, result.bids_submitted);
-        counters_.inc(c_solver_phases_, result.phases_run);
-        return std::move(result.sched);
-    }
-
-    if (par_auction_ != nullptr) {
-        // Same round contract as the synchronous auction, minus the
-        // distributed window (the Jacobi solver is a solver, not a protocol).
-        core::auction_result result;
-        if (options_.warm_start != warm_start_mode::off) {
-            std::vector<double> initial(view.num_uploaders(), 0.0);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                initial[u] = slot_prices[sp.uploader_row[u]];
-            result = par_auction_->run(view, initial);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                slot_prices[sp.uploader_row[u]] = result.prices[u];
-        } else {
-            result = par_auction_->run(view);
-        }
-        if (result.early_exited) slot_saw_early_exit_ = true;
         metrics.auction_bids += result.bids_submitted;
         counters_.inc(c_solver_bids_, result.bids_submitted);
         counters_.inc(c_solver_phases_, result.phases_run);
@@ -987,11 +1016,7 @@ void emulator::apply_schedule(const core::schedule& sched, slot_metrics& metrics
             }
         }
     }
-    metrics.inter_isp_fraction =
-        metrics.transfers == 0
-            ? 0.0
-            : static_cast<double>(metrics.inter_isp_transfers) /
-                  static_cast<double>(metrics.transfers);
+    metrics.inter_isp_fraction = share(metrics.inter_isp_transfers, metrics.transfers);
 }
 
 void emulator::advance_playback(double from, double to, slot_metrics& metrics) {
@@ -1021,10 +1046,7 @@ void emulator::advance_playback(double from, double to, slot_metrics& metrics) {
         peers_.set_playback_position(row, new_position);
         tracker_.update_position(row, new_position);
     }
-    metrics.miss_rate = metrics.chunks_due == 0
-                            ? 0.0
-                            : static_cast<double>(metrics.chunks_missed) /
-                                  static_cast<double>(metrics.chunks_due);
+    metrics.miss_rate = share(metrics.chunks_missed, metrics.chunks_due);
 }
 
 const slot_metrics& emulator::step() {
@@ -1062,8 +1084,7 @@ const slot_metrics& emulator::step() {
     // margin (v − w) − λ < 0 for every λ ≥ 0), so their rounds list only
     // w ≤ v. Other schedulers and the runtime, which sends each price
     // update to every request listing the uploader, keep full lists.
-    const bool profitable_only =
-        (auction_ != nullptr || par_auction_ != nullptr) && !distributed;
+    const bool profitable_only = ladder_ != nullptr && !distributed;
     const std::size_t rounds = std::max<std::size_t>(1, options_.bid_rounds_per_slot);
     const double round_length = options_.config.slot_seconds /
                                 static_cast<double>(rounds);
@@ -1260,32 +1281,6 @@ std::size_t emulator::online_viewers() const {
     for (std::uint32_t row : active_viewers_)
         if (peers_.join_time(row) <= now_) ++n;
     return n;
-}
-
-double emulator::total_welfare() const {
-    double total = 0.0;
-    for (const auto& s : slots_) total += s.social_welfare;
-    return total;
-}
-
-double emulator::overall_inter_isp_fraction() const {
-    std::uint64_t inter = 0;
-    std::uint64_t total = 0;
-    for (const auto& s : slots_) {
-        inter += s.inter_isp_transfers;
-        total += s.transfers;
-    }
-    return total == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(total);
-}
-
-double emulator::overall_miss_rate() const {
-    std::uint64_t missed = 0;
-    std::uint64_t due = 0;
-    for (const auto& s : slots_) {
-        missed += s.chunks_missed;
-        due += s.chunks_due;
-    }
-    return due == 0 ? 0.0 : static_cast<double>(missed) / static_cast<double>(due);
 }
 
 }  // namespace p2pcd::vod

@@ -75,6 +75,10 @@ namespace p2pcd::core {
 class transportation_simplex_scheduler;  // core/transportation_scheduler.h
 }  // namespace p2pcd::core
 
+namespace p2pcd::obs {
+class json_line;  // obs/jsonl_sink.h
+}  // namespace p2pcd::obs
+
 namespace p2pcd::vod {
 
 enum class warm_start_mode { off, rounds, slots };
@@ -208,6 +212,23 @@ struct slot_metrics {
     std::uint64_t auction_bids = 0;
 };
 
+// Adds `slot`'s counts into `into` and recomputes both rates from the sums;
+// `into.time` stays. The fleet merges its shards' slots with it, in
+// swarm-index order.
+slot_metrics& operator+=(slot_metrics& into, const slot_metrics& slot);
+
+// Aggregates over a run's slots, accumulated in slot order.
+[[nodiscard]] double total_welfare(std::span<const slot_metrics> slots);
+[[nodiscard]] double overall_inter_isp_fraction(std::span<const slot_metrics> slots);
+[[nodiscard]] double overall_miss_rate(std::span<const slot_metrics> slots);
+
+// Opens a "slot" or "fleet_slot" JSONL record with the fields the two share:
+// schema version, kind, slot index, the slot metrics, then every entry of
+// `counters` in registration order. Callers append their sub-objects.
+[[nodiscard]] obs::json_line slot_record(std::string_view kind, std::size_t slot,
+                                         const slot_metrics& m,
+                                         const obs::counter_registry& counters);
+
 // Per-subsystem bytes held by one emulator (capacities, including shed-able
 // arenas at their current state). `shared` counts the read-only assets once
 // even though every shard holds a pointer to them — fleet aggregation adds
@@ -340,9 +361,13 @@ public:
     }
 
     // Aggregate outcome over the whole run.
-    [[nodiscard]] double total_welfare() const;
-    [[nodiscard]] double overall_inter_isp_fraction() const;
-    [[nodiscard]] double overall_miss_rate() const;
+    [[nodiscard]] double total_welfare() const { return vod::total_welfare(slots_); }
+    [[nodiscard]] double overall_inter_isp_fraction() const {
+        return vod::overall_inter_isp_fraction(slots_);
+    }
+    [[nodiscard]] double overall_miss_rate() const {
+        return vod::overall_miss_rate(slots_);
+    }
 
 private:
     struct slot_problem {
@@ -422,7 +447,7 @@ private:
     // the valuation's log() shows up.
     double deadline_value(double ttl);
     // `slot_prices` carries each uploader's λ across the bidding rounds of
-    // one distributed (or warm-started synchronous) slot — prices reset at
+    // one distributed (or warm-started auction) slot — prices reset at
     // slot boundaries, Sec. IV-C. Dense by table row. `round` is the round
     // ordinal within the slot, used to derive the per-round scheduler seed;
     // `distributed` is step()'s per-slot decision to run the round on the
@@ -475,12 +500,13 @@ private:
     std::int32_t id_base_ = 0;       // next_peer_id_ right after construction
     std::uint64_t arrival_seq_ = 0;  // Poisson arrivals drawn so far
 
-    // Long-lived scheduler from the registry; `auction_` / `par_auction_`
-    // are the non-null downcasts when a built-in auction is selected (they
-    // have the richer run() API: bid diagnostics and warm-start prices).
+    // Long-lived scheduler from the registry; `ladder_` is the non-null
+    // downcast when either built-in auction is selected (the richer run()
+    // API: bid diagnostics and warm-start prices), and `auction_` when the
+    // synchronous one is — only it may hand slots to the distributed runtime.
     std::unique_ptr<core::scheduler> scheduler_;
+    core::auction_ladder* ladder_ = nullptr;
     core::auction_solver* auction_ = nullptr;
-    core::parallel_auction_solver* par_auction_ = nullptr;
     core::transportation_simplex_scheduler* trans_ = nullptr;
 
     peer_table peers_;          // rows stable and id-ordered; departed flagged
