@@ -16,6 +16,13 @@ class greedy_welfare_scheduler final : public core::scheduler {
 public:
     [[nodiscard]] core::schedule solve(const core::problem_view& problem) override;
     [[nodiscard]] std::string_view name() const override { return "greedy-welfare"; }
+    void shed_memory() override {
+        std::vector<edge>().swap(edges_);
+        std::vector<std::int64_t>().swap(remaining_);
+    }
+    [[nodiscard]] std::size_t workspace_bytes() const override {
+        return edges_.capacity() * sizeof(edge) + remaining_.capacity() * sizeof(std::int64_t);
+    }
 
 private:
     struct edge {

@@ -11,59 +11,21 @@ random_scheduler::random_scheduler(std::uint64_t seed, std::size_t max_rounds)
 void random_scheduler::reseed(std::uint64_t seed) { rng_ = sim::rng_stream(seed); }
 
 core::schedule random_scheduler::solve(const core::problem_view& problem) {
-    const std::size_t nr = problem.num_requests();
-    const std::size_t nu = problem.num_uploaders();
-
-    core::schedule sched;
-    sched.choice.assign(nr, core::no_candidate);
-
-    remaining_.assign(nu, 0);
-    for (std::size_t u = 0; u < nu; ++u) remaining_[u] = problem.uploader(u).capacity;
-
     // Random visiting order per request (sampling without replacement),
     // flat in CSR order.
+    const auto offsets = problem.offsets();
     order_.resize(problem.num_candidates());
-    cursor_.assign(nr, 0);
-    for (std::size_t r = 0; r < nr; ++r) {
-        const std::size_t base = problem.candidate_offset(r);
-        auto begin = order_.begin() + static_cast<std::ptrdiff_t>(base);
-        auto end = begin + static_cast<std::ptrdiff_t>(problem.candidates(r).size());
-        std::iota(begin, end, std::size_t{0});
+    cursor_.resize(problem.num_requests());
+    for (std::size_t r = 0; r < problem.num_requests(); ++r) {
+        auto begin = order_.begin() + offsets[r];
+        auto end = order_.begin() + offsets[r + 1];
+        std::iota(begin, end, std::uint32_t{0});
         std::shuffle(begin, end, rng_.engine());
     }
-
-    if (inbox_.size() < nu) inbox_.resize(nu);
-
-    for (std::size_t round = 0; round < max_rounds_; ++round) {
-        for (std::size_t u = 0; u < nu; ++u) inbox_[u].clear();
-        bool any = false;
-        for (std::size_t r = 0; r < nr; ++r) {
-            if (sched.choice[r] != core::no_candidate) continue;
-            const auto cands = problem.candidates(r);
-            if (cursor_[r] >= cands.size()) continue;
-            std::size_t ci = order_[problem.candidate_offset(r) + cursor_[r]];
-            inbox_[cands[ci].uploader].push_back(
-                {r, ci, problem.request(r).valuation});
-            any = true;
-        }
-        if (!any) break;
-        for (std::size_t u = 0; u < nu; ++u) {
-            auto& knocks = inbox_[u];
-            std::stable_sort(knocks.begin(), knocks.end(),
-                             [](const knock& a, const knock& b) {
-                                 return a.valuation > b.valuation;
-                             });
-            for (const auto& k : knocks) {
-                if (remaining_[u] > 0) {
-                    --remaining_[u];
-                    sched.choice[k.request] = static_cast<std::ptrdiff_t>(k.candidate);
-                } else {
-                    ++cursor_[k.request];
-                }
-            }
-        }
-    }
-    return sched;
+    return rounds_.run(problem, max_rounds_, [&](std::uint32_t r, std::uint32_t prev) {
+        cursor_[r] = prev == knock_rounds::none ? offsets[r] : cursor_[r] + 1;
+        return cursor_[r] < offsets[r + 1] ? order_[cursor_[r]] : knock_rounds::none;
+    });
 }
 
 }  // namespace p2pcd::baseline

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "baseline/knock_rounds.h"
 #include "core/problem.h"
 #include "sim/rng.h"
 
@@ -26,21 +27,25 @@ public:
     // sim::rng_factory, so rounds are independent and reproducible.
     void reseed(std::uint64_t seed) override;
 
-private:
-    struct knock {
-        std::size_t request;
-        std::size_t candidate;
-        double valuation;
-    };
+    void shed_memory() override {
+        std::vector<std::uint32_t>().swap(order_);
+        std::vector<std::uint32_t>().swap(cursor_);
+        rounds_.shed();
+    }
+    [[nodiscard]] std::size_t workspace_bytes() const override {
+        return (order_.capacity() + cursor_.capacity()) * sizeof(std::uint32_t) +
+               rounds_.memory_bytes();
+    }
 
+private:
     sim::rng_stream rng_;
     std::size_t max_rounds_;
     // Persistent workspaces (see core::scheduler contract). `order_` is the
-    // per-request shuffled candidate ordinals, flat in CSR order.
-    std::vector<std::size_t> order_;
-    std::vector<std::size_t> cursor_;
-    std::vector<std::vector<knock>> inbox_;
-    std::vector<std::int64_t> remaining_;
+    // per-request shuffled candidate ordinals, flat in CSR order, and
+    // `cursor_[r]` the flat index of request r's current entry in it.
+    std::vector<std::uint32_t> order_;
+    std::vector<std::uint32_t> cursor_;
+    knock_rounds rounds_;
 };
 
 }  // namespace p2pcd::baseline

@@ -1,74 +1,31 @@
 #include "baseline/simple_locality.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace p2pcd::baseline {
 
 simple_locality_scheduler::simple_locality_scheduler(locality_options options)
     : options_(options) {}
 
 core::schedule simple_locality_scheduler::solve(const core::problem_view& problem) {
-    const std::size_t nr = problem.num_requests();
-    const std::size_t nu = problem.num_uploaders();
-
-    core::schedule sched;
-    sched.choice.assign(nr, core::no_candidate);
-
-    remaining_.assign(nu, 0);
-    for (std::size_t u = 0; u < nu; ++u) remaining_[u] = problem.uploader(u).capacity;
-
-    // Per request: candidate ordinals sorted by ascending network cost (flat,
-    // CSR-aligned), and a cursor to the next one to try.
-    by_cost_.resize(problem.num_candidates());
-    cursor_.assign(nr, 0);
-    for (std::size_t r = 0; r < nr; ++r) {
-        const auto cands = problem.candidates(r);
-        const std::size_t base = problem.candidate_offset(r);
-        auto begin = by_cost_.begin() + static_cast<std::ptrdiff_t>(base);
-        auto end = begin + static_cast<std::ptrdiff_t>(cands.size());
-        std::iota(begin, end, std::size_t{0});
-        std::stable_sort(begin, end, [&](std::size_t a, std::size_t b) {
-            return cands[a].cost < cands[b].cost;
-        });
-    }
-
-    if (inbox_.size() < nu) inbox_.resize(nu);
-
-    for (std::size_t round = 0; round < options_.max_rounds; ++round) {
-        // Every unserved request knocks at its next cheapest candidate.
-        for (std::size_t u = 0; u < nu; ++u) inbox_[u].clear();
-        bool any = false;
-        for (std::size_t r = 0; r < nr; ++r) {
-            if (sched.choice[r] != core::no_candidate) continue;
-            const auto cands = problem.candidates(r);
-            if (cursor_[r] >= cands.size()) continue;  // out of neighbors
-            std::size_t ci = by_cost_[problem.candidate_offset(r) + cursor_[r]];
-            std::size_t u = cands[ci].uploader;
-            inbox_[u].push_back({r, ci, problem.request(r).valuation});
-            any = true;
-        }
-        if (!any) break;
-
-        // Uploaders grant remaining capacity to the most urgent chunks first.
-        for (std::size_t u = 0; u < nu; ++u) {
-            auto& knocks = inbox_[u];
-            if (knocks.empty()) continue;
-            std::stable_sort(knocks.begin(), knocks.end(),
-                             [](const knock& a, const knock& b) {
-                                 return a.valuation > b.valuation;
-                             });
-            for (const auto& k : knocks) {
-                if (remaining_[u] > 0) {
-                    --remaining_[u];
-                    sched.choice[k.request] = static_cast<std::ptrdiff_t>(k.candidate);
-                } else {
-                    ++cursor_[k.request];  // rejected: try the next cheapest
-                }
+    const auto offsets = problem.offsets();
+    const double* const costs = problem.cand_costs().data();
+    // The least (cost, ordinal) candidate strictly after `prev` in the row.
+    return rounds_.run(problem, options_.max_rounds, [&](std::uint32_t r, std::uint32_t prev) {
+        const double* const cost = costs + offsets[r];
+        const std::uint32_t n = offsets[r + 1] - offsets[r];
+        const bool first = prev == knock_rounds::none;
+        const double floor = first ? 0.0 : cost[prev];
+        std::uint32_t best = knock_rounds::none;
+        double best_cost = 0.0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const double c = cost[i];
+            const bool after = first || c > floor || (c == floor && i > prev);
+            if (after && (best == knock_rounds::none || c < best_cost)) {
+                best = i;
+                best_cost = c;
             }
         }
-    }
-    return sched;
+        return best;
+    });
 }
 
 }  // namespace p2pcd::baseline

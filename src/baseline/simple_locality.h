@@ -9,6 +9,10 @@
 // (urgency) and grants its remaining capacity top-down. Rejected requests try
 // their next-cheapest candidate next round, up to `max_rounds`.
 //
+// The rounds are `knock_rounds`. Cheapest-first is the total order (cost,
+// ordinal) — a stable sort by cost — so after a rejection at ordinal p one
+// row scan finds the least (cost, ordinal) strictly after (cost[p], p).
+//
 // Crucially — and this is the behaviour the paper criticizes — the baseline
 // ignores net utility: it will happily schedule a transfer whose network cost
 // exceeds the chunk's valuation, which is how its social welfare goes negative
@@ -16,8 +20,7 @@
 #ifndef P2PCD_BASELINE_SIMPLE_LOCALITY_H
 #define P2PCD_BASELINE_SIMPLE_LOCALITY_H
 
-#include <vector>
-
+#include "baseline/knock_rounds.h"
 #include "core/problem.h"
 
 namespace p2pcd::baseline {
@@ -35,21 +38,14 @@ public:
 
     [[nodiscard]] core::schedule solve(const core::problem_view& problem) override;
     [[nodiscard]] std::string_view name() const override { return "simple-locality"; }
+    void shed_memory() override { rounds_.shed(); }
+    [[nodiscard]] std::size_t workspace_bytes() const override {
+        return rounds_.memory_bytes();
+    }
 
 private:
-    struct knock {
-        std::size_t request;
-        std::size_t candidate;  // ordinal within the request's candidate list
-        double valuation;
-    };
-
     locality_options options_;
-    // Persistent workspaces (see core::scheduler contract). `by_cost_` is the
-    // per-request cost-sorted candidate ordinals, flat in CSR order.
-    std::vector<std::size_t> by_cost_;
-    std::vector<std::size_t> cursor_;
-    std::vector<std::vector<knock>> inbox_;
-    std::vector<std::int64_t> remaining_;
+    knock_rounds rounds_;  // persistent workspace (see core::scheduler contract)
 };
 
 }  // namespace p2pcd::baseline

@@ -1,5 +1,7 @@
 #include "workload/scenario.h"
 
+#include <cmath>
+
 #include "common/contracts.h"
 
 namespace p2pcd::workload {
@@ -7,15 +9,25 @@ namespace p2pcd::workload {
 void scenario_config::validate() const {
     expects(num_videos > 0, "scenario needs at least one video");
     expects(num_isps > 0, "scenario needs at least one ISP");
-    expects(chunk_size_kb > 0.0 && video_size_mb > 0.0, "catalog sizes must be positive");
-    expects(bitrate_kbps > 0.0, "bitrate must be positive");
-    expects(slot_seconds > 0.0, "slot duration must be positive");
+    // The derived counts (chunks_per_video(), chunks_per_slot(), num_slots())
+    // cast these to std::size_t, so an infinite or NaN value must not get
+    // that far.
+    expects(std::isfinite(chunk_size_kb) && chunk_size_kb > 0.0,
+            "chunk_size_kb must be positive and finite");
+    expects(std::isfinite(video_size_mb) && video_size_mb > 0.0,
+            "video_size_mb must be positive and finite");
+    expects(std::isfinite(bitrate_kbps) && bitrate_kbps > 0.0,
+            "bitrate_kbps must be positive and finite");
+    expects(std::isfinite(slot_seconds) && slot_seconds > 0.0,
+            "slot_seconds must be positive and finite");
+    expects(std::isfinite(horizon_seconds), "horizon_seconds must be finite");
     expects(horizon_seconds >= slot_seconds, "horizon must cover at least one slot");
     expects(peer_upload_min_multiple > 0.0 &&
                 peer_upload_max_multiple >= peer_upload_min_multiple,
             "peer upload range must be positive and ordered");
     expects(seed_upload_multiple > 0.0, "seed_upload_multiple must be positive");
-    expects(arrival_rate >= 0.0, "arrival_rate must be non-negative (and not NaN)");
+    expects(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
+            "arrival_rate must be non-negative and finite");
     expects(departure_probability >= 0.0 && departure_probability <= 1.0,
             "departure probability must be in [0,1]");
     expects(valuation_min <= valuation_max, "valuation clamp range must be ordered");

@@ -143,5 +143,35 @@ TEST(baselines, welfare_ordering_on_isp_instances) {
     EXPECT_GT(auction_total, locality_total) << "the paper's headline comparison";
 }
 
+// The core::scheduler footprint contract the auctions keep: a solve leaves
+// its workspace counted in workspace_bytes(), shed_memory() returns all of
+// it, and the solve after a shed regrows it to the same schedule.
+void expect_workspace_counted_and_shed(core::scheduler& solver) {
+    const auto p = workload::make_isp_instance({.seed = 4}).problem;
+    ASSERT_GT(p.num_requests(), 0u);
+    solver.reseed(77);
+    const auto first = solver.solve(p);
+    EXPECT_GT(solver.workspace_bytes(), 0u) << solver.name();
+    solver.shed_memory();
+    EXPECT_EQ(solver.workspace_bytes(), 0u) << solver.name();
+    solver.reseed(77);
+    EXPECT_EQ(solver.solve(p).choice, first.choice) << solver.name();
+}
+
+TEST(simple_locality, workspace_is_counted_and_shed) {
+    simple_locality_scheduler solver;
+    expect_workspace_counted_and_shed(solver);
+}
+
+TEST(random_scheduler, workspace_is_counted_and_shed) {
+    random_scheduler solver(5);
+    expect_workspace_counted_and_shed(solver);
+}
+
+TEST(greedy_welfare, workspace_is_counted_and_shed) {
+    greedy_welfare_scheduler solver;
+    expect_workspace_counted_and_shed(solver);
+}
+
 }  // namespace
 }  // namespace p2pcd::baseline

@@ -139,26 +139,30 @@ TEST(emulator_memory, footprint_components_sum_to_total) {
 // counted under problem_arena) and the solver slabs exist only while a slot
 // is in flight. After every step() they are back at their size before the
 // first slot — the empty arenas' CSR sentinels, no slot state — with the
-// shadow check on or off.
+// shadow check on or off, under the auction and under the locality baseline.
 TEST(emulator_memory, slot_state_is_shed_after_every_step) {
     for (const bool shadow_check : {false, true}) {
-        vod::emulator_options opts;
-        opts.config = workload::scenario_config::economy_smoke();
-        opts.delta_shadow_check = shadow_check;
-        const std::size_t slots = opts.config.num_slots();
-        vod::emulator emu(opts);
-        const vod::memory_breakdown idle = emu.memory_footprint();
-        EXPECT_LE(idle.problem_arena, 2 * sizeof(std::uint32_t));
-        EXPECT_EQ(idle.solver, 0u);
-        std::size_t requests = 0;
-        for (std::size_t k = 0; k < slots; ++k) {
-            requests += emu.step().requests;
-            const vod::memory_breakdown fp = emu.memory_footprint();
-            EXPECT_EQ(fp.problem_arena, idle.problem_arena)
-                << "shadow " << shadow_check << " slot " << k;
-            EXPECT_EQ(fp.solver, 0u) << "shadow " << shadow_check << " slot " << k;
+        for (const char* scheduler : {"auction", "simple-locality"}) {
+            vod::emulator_options opts;
+            opts.config = workload::scenario_config::economy_smoke();
+            opts.scheduler = scheduler;
+            opts.delta_shadow_check = shadow_check;
+            const std::size_t slots = opts.config.num_slots();
+            vod::emulator emu(opts);
+            const vod::memory_breakdown idle = emu.memory_footprint();
+            EXPECT_LE(idle.problem_arena, 2 * sizeof(std::uint32_t));
+            EXPECT_EQ(idle.solver, 0u);
+            std::size_t requests = 0;
+            for (std::size_t k = 0; k < slots; ++k) {
+                requests += emu.step().requests;
+                const vod::memory_breakdown fp = emu.memory_footprint();
+                EXPECT_EQ(fp.problem_arena, idle.problem_arena)
+                    << scheduler << " shadow " << shadow_check << " slot " << k;
+                EXPECT_EQ(fp.solver, 0u)
+                    << scheduler << " shadow " << shadow_check << " slot " << k;
+            }
+            EXPECT_GT(requests, 0u) << scheduler << ": the run built no problem";
         }
-        EXPECT_GT(requests, 0u) << "the run built no problem";
     }
 }
 

@@ -126,6 +126,14 @@ inline constexpr golden_run_hashes golden_warm_slots_economy_par = {
     "economy_smoke", 0xba4895265c419f4bull, 0x4cf4d7c38a1dd468ull,
     0x49d9cbac4010b3b4ull};
 
+// The paper's Sec. V baseline ("simple-locality", default 3 knock rounds)
+// over economy_smoke's full horizon. Captured 2026-10-18 on GCC 12 / x86-64
+// from the stable-sort implementation that the linear-time successor scan
+// replaced, so it pins that rewrite's bit-identity end to end.
+inline constexpr golden_run_hashes golden_locality_economy = {
+    "economy_smoke", 0xba4895265c419f4bull, 0xfcea30e075e2885full,
+    0x3915d140032db74full};
+
 // Metrics hash of the first 3 slots of economy_smoke under the
 // transportation-simplex scheduler — the CI smoke pin for the exact solver
 // (see the scheduler_scaling step in .github/workflows/ci.yml). Captured

@@ -225,6 +225,14 @@ TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {
                   run_scenario("economy_smoke", {.telemetry = true}));
 }
 
+// The locality baseline schedules by cost order and urgency alone, never by
+// price, so its run is pinned separately (constant:
+// vod::golden_locality_economy).
+TEST(slot_golden, economy_smoke_simple_locality_pinned) {
+    check_against("economy_smoke", "-LOCALITY", &golden_locality_economy,
+                  run_scenario("economy_smoke", {.scheduler = "simple-locality"}));
+}
+
 // CI smoke pin for the transportation simplex: 3 slots of economy_smoke,
 // metrics only (the scheduler is exact, so this doubles as a cheap guard
 // that the pivoting rewrite still lands on the optimal schedule).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/contracts.h"
 #include "workload/instance_gen.h"
@@ -60,6 +61,42 @@ TEST(scenario, validation_rejects_nonsense) {
     cfg = scenario_config::paper_dynamic();
     cfg.seed_upload_multiple = -1.0;
     EXPECT_THROW(cfg.validate(), contract_violation);
+    // Non-finite sizes, durations and rates would reach the derived counts'
+    // casts to std::size_t; each is named in the message.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const auto rejects = [](const scenario_config& bad, const std::string& field) {
+        try {
+            bad.validate();
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const contract_violation& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    cfg = scenario_config::paper_dynamic();
+    cfg.horizon_seconds = inf;
+    rejects(cfg, "horizon_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.horizon_seconds = std::numeric_limits<double>::quiet_NaN();
+    rejects(cfg, "horizon_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.slot_seconds = inf;
+    rejects(cfg, "slot_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.slot_seconds = inf;
+    cfg.horizon_seconds = inf;
+    rejects(cfg, "slot_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.arrival_rate = inf;
+    rejects(cfg, "arrival_rate");
+    cfg = scenario_config::paper_dynamic();
+    cfg.bitrate_kbps = inf;
+    rejects(cfg, "bitrate_kbps");
+    cfg = scenario_config::paper_dynamic();
+    cfg.video_size_mb = inf;
+    rejects(cfg, "video_size_mb");
+    cfg = scenario_config::paper_dynamic();
+    cfg.chunk_size_kb = inf;
+    rejects(cfg, "chunk_size_kb");
 }
 
 TEST(instance_gen, respects_shape_parameters) {
