@@ -9,13 +9,9 @@
 // scheduler then solves repeatedly with long-lived workspaces — the emulator's
 // deployment pattern. The synchronous auction additionally gets a warm-start
 // row ("auction-warm": each solve re-seeded from the previous solve's λ,
-// Sec. IV-C's intra-slot price carrying).
-//
-// Knobs (beyond the standard ones in bench_common.h):
-//   P2PCD_SCALING_EXACT   "1" forces the exact (min-cost-flow) solver even on
-//                         the ≥5000-peer scenarios, where one solve takes
-//                         minutes (it is otherwise skipped there at full
-//                         scale; smoke/ci sizes always include it)
+// Sec. IV-C's intra-slot price carrying). The exact scheduler (a network
+// simplex) runs on every row, so each scenario's welfare column has its
+// optimum to compare against.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -49,10 +45,6 @@ std::size_t scenario_population(const workload::scenario_config& cfg) {
 
 int main() {
     const bool full = bench::full_scale();
-    const bool force_exact = [] {
-        const char* env = std::getenv("P2PCD_SCALING_EXACT");
-        return env != nullptr && std::string(env) == "1";
-    }();
 
     const auto& schedulers = baseline::builtin_schedulers();
     const auto& scenarios = workload::builtin_scenarios();
@@ -109,13 +101,6 @@ int main() {
             std::size_t par_threads = 0;
             if (name == "auction-par-t2") par_threads = 2;
             if (name == "auction-par-t4") par_threads = 4;
-            if (name == "exact" && full && total_peers >= 5000 && !force_exact) {
-                t.add_row({scenario_name, std::to_string(total_peers),
-                           std::to_string(inst.problem.num_requests()),
-                           std::to_string(inst.problem.num_candidates()), name,
-                           "0", "skipped", "skipped", "-", "-"});
-                continue;
-            }
             core::scheduler_params sp;
             sp.seed = bench::bench_seed();
             if (par_threads != 0) sp.parallel_auction.num_threads = par_threads;
@@ -206,7 +191,9 @@ int main() {
                 auction_20k_rate = solves_per_s;
             if (scenario_name == "metro_20k" && name == "auction-par")
                 auction_par_20k_rate = solves_per_s;
-            if (scenario_name == "metro_20k" && name == "transportation-simplex")
+            // "exact" is the transportation simplex; the key keeps the
+            // algorithm's name.
+            if (scenario_name == "metro_20k" && name == "exact")
                 rep.add_scalar("simplex_metro_20k_solves_per_s", solves_per_s);
         }
     }

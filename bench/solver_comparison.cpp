@@ -4,9 +4,8 @@
 //
 // Schedulers are resolved by name through the built-in registry
 // (baseline/registry.h): registering a new algorithm adds a column here with
-// no bench edits. Expected ordering per row: exact == transportation-simplex
-// >= auction ≈ auction-par >= greedy >> locality, with both auctions within
-// n·ε of exact (the two exact solvers must agree to the last decimal).
+// no bench edits. Expected ordering per row: exact >= auction ≈ auction-par
+// >= greedy >> locality, with both auctions within n·ε of exact.
 #include <iostream>
 #include <memory>
 #include <vector>

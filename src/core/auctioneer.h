@@ -74,30 +74,6 @@ public:
         return result;
     }
 
-    // Bulk path for the parallel auction's uploader-order merge: when a
-    // round delivers at most (capacity − size) bids that all clear λ_u, the
-    // outcome of offering them one by one is "all accepted, no evictions,
-    // λ_u lifted only if the set ends exactly full" — so the merge appends
-    // them without per-bid heap maintenance and calls finalize_bulk() once.
-    // The caller guarantees amount > price() and size() stays ≤ capacity();
-    // seq numbers still advance per append, so FIFO eviction tie-breaks in
-    // later rounds are identical to the sequential path.
-    void append_unchecked(std::size_t request, double amount) {
-        set_.push_back({amount, next_seq_++, request});
-    }
-    // Restores the heap invariant after append_unchecked()s and applies the
-    // price rule; returns true when λ_u changed.
-    bool finalize_bulk() {
-        std::make_heap(set_.begin(), set_.end(), greater_entry{});
-        if (!full()) return false;
-        const double new_price = set_.front().amount;
-        ensures(new_price >= price_,
-                "bandwidth price must be non-decreasing during an auction");
-        if (new_price == price_) return false;
-        price_ = new_price;
-        return true;
-    }
-
     // Current unit bandwidth price λ_u. +inf for a zero-capacity auctioneer
     // (it can never sell, so no finite bid should target it).
     [[nodiscard]] double price() const noexcept {

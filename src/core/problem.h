@@ -156,9 +156,6 @@ public:
         expects(r < requests_.size(), "request index out of range");
         return offsets_[r];
     }
-    [[nodiscard]] candidate_range all_candidates() const noexcept {
-        return {cand_uploaders_.data(), cand_costs_.data(), cand_uploaders_.size()};
-    }
     // The raw CSR row starts (num_requests()+1 entries) for solvers that walk
     // the flat layout without per-row bounds checks.
     [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
@@ -292,8 +289,8 @@ public:
     // Lossless conversion to the transportation form of Sec. IV-A, kept for
     // the opt-layer reference solvers and the LP-formulation tests. Edge k of
     // the result corresponds to flat candidate k (CSR order), i.e. candidate
-    // `edge_origin(k)`. The hot path (core/exact) no longer goes through
-    // this copy — it builds the min-cost-flow network straight off the view.
+    // `edge_origin(k)`. core/exact does not go through this copy — it fills
+    // its own persistent instance straight off the view, in the same order.
     [[nodiscard]] opt::transportation_instance to_transportation() const;
     struct edge_origin_entry {
         std::size_t request = 0;

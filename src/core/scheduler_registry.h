@@ -63,8 +63,8 @@ private:
     std::map<std::string, factory, std::less<>> factories_;
 };
 
-// Registers the schedulers implemented in core: "auction", "auction-par",
-// "exact" and "transportation-simplex". (baseline/registry.h adds the
+// Registers the schedulers implemented in core: "auction", "auction-par"
+// and "exact". (baseline/registry.h adds the
 // comparison baselines and provides the fully-populated built-in registry.)
 void register_core_schedulers(scheduler_registry& registry);
 

@@ -1,10 +1,10 @@
 // Min-cost max-flow with successive shortest paths and Johnson potentials.
 //
-// Used as the exact solver for the paper's transportation-form scheduling
-// problem: the LP relaxation of problem (1) is integral, and an SSP min-cost
-// flow on the bipartite request/bandwidth network produces the optimal binary
-// schedule plus node potentials from which the optimal dual prices λ_u are
-// recovered (see transportation.h).
+// Behind opt::solve_exact, the reference optimum for the paper's
+// transportation-form scheduling problem: the LP relaxation of problem (1) is
+// integral, and an SSP min-cost flow on the bipartite request/bandwidth
+// network produces the optimal binary schedule plus node potentials from
+// which the optimal dual prices λ_u are recovered (see transportation.h).
 #ifndef P2PCD_OPT_MCMF_H
 #define P2PCD_OPT_MCMF_H
 

@@ -6,10 +6,14 @@
 // "Unassigned" is always allowed (a request can simply stay unserved at zero
 // utility), matching the ≤ constraints and η ≥ 0 duals of the paper's LP.
 //
-// Two reference solvers live here:
-//  * solve_exact        — min-cost max-flow; optimal for any instance size the
-//                         tests and benches use, and the yardstick against
-//                         which Theorem 1 (auction optimality) is verified;
+// Three solvers live here:
+//  * solve_transportation_simplex — primal network simplex; what core's
+//                         "exact" scheduler runs, and so the yardstick
+//                         against which Theorem 1 (auction optimality) is
+//                         verified;
+//  * solve_exact        — min-cost max-flow; the independently-derived
+//                         reference optimum the tests hold the simplex
+//                         against;
 //  * solve_brute_force  — exponential enumeration for tiny instances, used to
 //                         validate solve_exact itself.
 #ifndef P2PCD_OPT_TRANSPORTATION_H
@@ -54,10 +58,8 @@ struct transportation_solution {
 // Primal network simplex on the transportation form (transportation_simplex.cpp).
 // Same contract as solve_exact — optimal primal, feasible duals — via a
 // different algorithm: a strongly feasible spanning-tree basis (Cunningham)
-// pivoted until no arc prices out. Exists as an independently-derived
-// challenger: the solver-equivalence property suite holds the two optima
-// against each other, and core's "transportation-simplex" scheduler races it
-// against the auctions in the scheduler benches.
+// pivoted until no arc prices out. core's "exact" scheduler runs it; the
+// solver-equivalence property suite holds its optima against solve_exact's.
 [[nodiscard]] transportation_solution solve_transportation_simplex(
     const transportation_instance& instance);
 

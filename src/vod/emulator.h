@@ -72,7 +72,7 @@
 #include "workload/scenario.h"
 
 namespace p2pcd::core {
-class transportation_simplex_scheduler;  // core/transportation_scheduler.h
+class exact_scheduler;  // core/exact.h
 }  // namespace p2pcd::core
 
 namespace p2pcd::obs {
@@ -504,10 +504,12 @@ private:
     // downcast when either built-in auction is selected (the richer run()
     // API: bid diagnostics and warm-start prices), and `auction_` when the
     // synchronous one is — only it may hand slots to the distributed runtime.
+    // `exact_` is the downcast for "exact", whose simplex pivots feed the
+    // solver.pivots counter.
     std::unique_ptr<core::scheduler> scheduler_;
     core::auction_ladder* ladder_ = nullptr;
     core::auction_solver* auction_ = nullptr;
-    core::transportation_simplex_scheduler* trans_ = nullptr;
+    core::exact_scheduler* exact_ = nullptr;
 
     peer_table peers_;          // rows stable and id-ordered; departed flagged
     std::size_t num_seeds_ = 0;  // rows [0, num_seeds_) are the seeds

@@ -31,6 +31,29 @@ void scenario_config::validate() const {
     expects(departure_probability >= 0.0 && departure_probability <= 1.0,
             "departure probability must be in [0,1]");
     expects(valuation_min <= valuation_max, "valuation clamp range must be ordered");
+    // Finite is not enough: each derived count must also fit the integer
+    // type it is converted to, since converting a larger double is
+    // undefined. NaN fails every `<` below.
+    constexpr double size_limit = 18446744073709551616.0;  // 2^64: std::size_t
+    constexpr double u32_limit = 4294967296.0;             // 2^32
+    constexpr double i32_limit = 2147483648.0;             // 2^31
+    expects(horizon_seconds / slot_seconds < size_limit,
+            "num_slots (horizon_seconds / slot_seconds) must fit std::size_t");
+    // buffer_map stores a video's chunk count as u32.
+    expects(video_size_mb * 1024.0 / chunk_size_kb < u32_limit,
+            "chunks_per_video (video_size_mb * 1024 / chunk_size_kb) must fit "
+            "32 bits");
+    expects(chunks_per_second() * slot_seconds < size_limit,
+            "chunks_per_slot (bitrate_kbps / 8 / chunk_size_kb * slot_seconds) "
+            "must fit std::size_t");
+    // Upload capacities are int32 chunk counts per slot.
+    const auto per_slot = static_cast<double>(chunks_per_slot());
+    expects(seed_upload_multiple * per_slot < i32_limit,
+            "seed_upload_multiple * chunks_per_slot must fit an int32 upload "
+            "capacity");
+    expects(peer_upload_max_multiple * per_slot < i32_limit,
+            "peer_upload_max_multiple * chunks_per_slot must fit an int32 upload "
+            "capacity");
     expects(chunks_per_video() > 0, "videos must contain at least one chunk");
     expects(prefetch_chunks >= chunks_per_slot(),
             "prefetch window must cover one slot of playback, or the window "

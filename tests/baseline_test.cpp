@@ -173,5 +173,16 @@ TEST(greedy_welfare, workspace_is_counted_and_shed) {
     expect_workspace_counted_and_shed(solver);
 }
 
+TEST(exact, workspace_is_counted_and_shed) {
+    core::exact_scheduler solver;
+    expect_workspace_counted_and_shed(solver);
+    // The regrown instance arena: one edge per candidate, one capacity per
+    // uploader.
+    const auto p = workload::make_isp_instance({.seed = 4}).problem;
+    EXPECT_GE(solver.workspace_bytes(),
+              p.num_candidates() * sizeof(opt::transportation_edge) +
+                  p.num_uploaders() * sizeof(std::int64_t));
+}
+
 }  // namespace
 }  // namespace p2pcd::baseline

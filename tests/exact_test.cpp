@@ -4,7 +4,9 @@
 
 #include "core/welfare.h"
 #include "opt/duality.h"
+#include "vod/emulator.h"
 #include "workload/instance_gen.h"
+#include "workload/scenario.h"
 
 namespace p2pcd::core {
 namespace {
@@ -56,6 +58,17 @@ TEST(exact, empty_problem) {
     auto result = solver.run(p);
     EXPECT_DOUBLE_EQ(result.welfare, 0.0);
     EXPECT_TRUE(result.sched.choice.empty());
+}
+
+// The emulator publishes the scheduler's cumulative simplex pivots as the
+// solver.pivots counter.
+TEST(exact, emulator_run_counts_simplex_pivots) {
+    vod::emulator_options opts;
+    opts.config = workload::scenario_config::economy_smoke();
+    opts.scheduler = "exact";
+    vod::emulator emu(opts);
+    emu.run();
+    EXPECT_GT(emu.counters().counter_named("solver.pivots"), 0u);
 }
 
 }  // namespace

@@ -22,6 +22,8 @@ set(bad_command_lines
     "--peers"
     "--peers 18446744073709551616"
     "--horizon inf"
+    "--horizon 1e300"
+    "--seed-upload 1e300"
     "--epsilon 0 --fleet fleet_smoke")
 
 set(failures "")

@@ -139,10 +139,11 @@ TEST(emulator_memory, footprint_components_sum_to_total) {
 // counted under problem_arena) and the solver slabs exist only while a slot
 // is in flight. After every step() they are back at their size before the
 // first slot — the empty arenas' CSR sentinels, no slot state — with the
-// shadow check on or off, under the auction and under the locality baseline.
+// shadow check on or off, under the auction, the locality baseline and the
+// exact scheduler.
 TEST(emulator_memory, slot_state_is_shed_after_every_step) {
     for (const bool shadow_check : {false, true}) {
-        for (const char* scheduler : {"auction", "simple-locality"}) {
+        for (const char* scheduler : {"auction", "simple-locality", "exact"}) {
             vod::emulator_options opts;
             opts.config = workload::scenario_config::economy_smoke();
             opts.scheduler = scheduler;

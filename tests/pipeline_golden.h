@@ -134,10 +134,11 @@ inline constexpr golden_run_hashes golden_locality_economy = {
     "economy_smoke", 0xba4895265c419f4bull, 0xfcea30e075e2885full,
     0x3915d140032db74full};
 
-// Metrics hash of the first 3 slots of economy_smoke under the
-// transportation-simplex scheduler — the CI smoke pin for the exact solver
-// (see the scheduler_scaling step in .github/workflows/ci.yml). Captured
-// 2026-08-08 on GCC 12 / x86-64.
+// Metrics hash of the first 3 slots of economy_smoke under the exact
+// scheduler (the transportation simplex) — the CI smoke pin for the exact
+// solver (see the simplex golden step in .github/workflows/ci.yml). Captured
+// 2026-08-08 on GCC 12 / x86-64 under the simplex's former registry name,
+// "transportation-simplex".
 inline constexpr std::uint64_t golden_simplex_smoke_metrics = 0xbab1d6206a36448aull;
 
 // The constants pin exact IEEE doubles, so they are only enforced on the

@@ -20,10 +20,9 @@ namespace {
 TEST(scheduler_registry, builtin_names_round_trip) {
     const auto& registry = baseline::builtin_schedulers();
     auto names = registry.names();
-    EXPECT_EQ(names.size(), 7u);
-    for (const char* expected :
-         {"auction", "auction-par", "exact", "greedy-welfare", "random",
-          "simple-locality", "transportation-simplex"})
+    EXPECT_EQ(names.size(), 6u);
+    for (const char* expected : {"auction", "auction-par", "exact", "greedy-welfare",
+                                 "random", "simple-locality"})
         EXPECT_TRUE(registry.contains(expected)) << expected;
 
     auto problem = workload::make_uniform_instance({.num_requests = 20, .seed = 2});

@@ -233,13 +233,14 @@ TEST(slot_golden, economy_smoke_simple_locality_pinned) {
                   run_scenario("economy_smoke", {.scheduler = "simple-locality"}));
 }
 
-// CI smoke pin for the transportation simplex: 3 slots of economy_smoke,
-// metrics only (the scheduler is exact, so this doubles as a cheap guard
-// that the pivoting rewrite still lands on the optimal schedule).
+// CI smoke pin for the exact scheduler (the transportation simplex): 3 slots
+// of economy_smoke, metrics only (the scheduler is exact, so this doubles as
+// a cheap guard that the pivoting rewrite still lands on the optimal
+// schedule).
 TEST(slot_golden, transportation_simplex_three_slot_smoke) {
     emulator_options opts;
     opts.config = workload::builtin_scenarios().make("economy_smoke");
-    opts.scheduler = "transportation-simplex";
+    opts.scheduler = "exact";
     emulator emu(std::move(opts));
     std::uint64_t h = golden_seed;
     for (int k = 0; k < 3; ++k) golden_mix_metrics(h, emu.step());
@@ -250,7 +251,7 @@ TEST(slot_golden, transportation_simplex_three_slot_smoke) {
         GTEST_SKIP() << "golden constants were captured with GCC/x86-64; "
                         "set P2PCD_GOLDEN_STRICT=1 to compare anyway";
     EXPECT_EQ(h, golden_simplex_smoke_metrics)
-        << "transportation-simplex smoke metrics diverged";
+        << "exact (transportation simplex) smoke metrics diverged";
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Property-based equivalence of the PR's two new solvers against the
 // established references, over randomized instance corpora:
 //
-//  * transportation simplex vs core/exact — equal welfare on every instance
-//    (both are exact algorithms), feasible primal, feasible duals, and a
-//    ~zero duality gap as the optimality certificate. The corpus leans on
-//    degenerate shapes: 1–64 uploaders, zero-capacity uploaders, empty
-//    candidate rows, duplicate (request, uploader) edges.
+//  * core's exact scheduler (the transportation simplex) vs opt::solve_exact
+//    (min-cost max-flow, an independently-derived algorithm) — equal welfare
+//    on every instance, feasible primal, feasible duals, and a ~zero duality
+//    gap as the optimality certificate. The corpus leans on degenerate
+//    shapes: 1–64 uploaders, zero-capacity uploaders, empty candidate rows,
+//    duplicate (request, uploader) edges.
 //  * parallel (Jacobi) auction vs the Theorem 1 obligations — feasibility,
 //    welfare within (#assigned)·ε of exact, dual feasibility and full
 //    ε-complementary slackness at termination (unscaled), and bit-identical
@@ -31,7 +32,6 @@
 #include "core/auction.h"
 #include "core/exact.h"
 #include "core/parallel_auction.h"
-#include "core/transportation_scheduler.h"
 #include "core/welfare.h"
 #include "opt/duality.h"
 #include "opt/transportation.h"
@@ -107,19 +107,20 @@ workload::uniform_instance_params family_params(int index) {
     }
 }
 
+// `exact` (network simplex) is held against opt::solve_exact (min-cost
+// flow) on the same instance: two algorithms, one optimum.
 TEST(solver_equivalence, simplex_matches_exact_on_degenerate_corpus) {
     exact_scheduler exact;
-    transportation_simplex_scheduler simplex;
     std::size_t nontrivial = 0;
     for (std::uint64_t seed = 0; seed < 220; ++seed) {
         auto problem = make_degenerate_instance(seed * 1315423911ull + 17);
-        auto best = exact.run(problem);
-        auto got = simplex.run(problem);
+        auto instance = problem.to_transportation();
+        auto best = opt::solve_exact(instance);
+        auto got = exact.run(problem);
         ASSERT_TRUE(schedule_feasible(problem, got.sched)) << "seed " << seed;
         EXPECT_NEAR(got.welfare, best.welfare, tol) << "seed " << seed;
         auto stats = compute_stats(problem, got.sched);
         EXPECT_NEAR(stats.welfare, got.welfare, tol) << "seed " << seed;
-        auto instance = problem.to_transportation();
         EXPECT_TRUE(opt::dual_feasible(instance, got.prices, got.request_utility))
             << "seed " << seed;
         nontrivial += best.welfare > 0.0;
@@ -150,8 +151,8 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
     {  // no requests at all
         scheduling_problem problem;
         problem.add_uploader(peer_id(0), 3);
-        transportation_simplex_scheduler simplex;
-        auto got = simplex.run(problem);
+        exact_scheduler exact;
+        auto got = exact.run(problem);
         EXPECT_DOUBLE_EQ(got.welfare, 0.0);
         EXPECT_TRUE(got.sched.choice.empty());
     }
@@ -160,8 +161,8 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
         problem.add_uploader(peer_id(0), 0);
         problem.add_request(peer_id(1), chunk_id(0), 5.0);
         problem.append_candidate(0, 1.0);
-        transportation_simplex_scheduler simplex;
-        auto got = simplex.run(problem);
+        exact_scheduler exact;
+        auto got = exact.run(problem);
         EXPECT_DOUBLE_EQ(got.welfare, 0.0);
         EXPECT_EQ(got.sched.choice[0], no_candidate);
         EXPECT_TRUE(opt::dual_feasible(problem.to_transportation(), got.prices,
@@ -175,8 +176,8 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
             problem.append_candidate(0, 1.0);
         }
         exact_scheduler exact;
-        transportation_simplex_scheduler simplex;
-        EXPECT_NEAR(simplex.run(problem).welfare, exact.run(problem).welfare, tol);
+        EXPECT_NEAR(exact.run(problem).welfare,
+                    opt::solve_exact(problem.to_transportation()).welfare, tol);
     }
 }
 

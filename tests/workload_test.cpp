@@ -97,6 +97,52 @@ TEST(scenario, validation_rejects_nonsense) {
     cfg = scenario_config::paper_dynamic();
     cfg.chunk_size_kb = inf;
     rejects(cfg, "chunk_size_kb");
+    // Finite but huge: each derived count must fit the integer type it is
+    // converted to (std::size_t slot and chunk counts, a u32 buffer-map size,
+    // int32 upload capacities).
+    cfg = scenario_config::paper_dynamic();
+    cfg.horizon_seconds = 1e300;
+    rejects(cfg, "horizon_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.video_size_mb = 1e300;
+    rejects(cfg, "video_size_mb");
+    cfg = scenario_config::paper_dynamic();
+    cfg.video_size_mb = 32.0 * 1024.0 * 1024.0;  // 2^32 chunks of 8 KB
+    rejects(cfg, "video_size_mb");
+    cfg = scenario_config::paper_dynamic();
+    cfg.chunk_size_kb = 1e-300;
+    rejects(cfg, "chunk_size_kb");
+    cfg = scenario_config::paper_dynamic();
+    cfg.bitrate_kbps = 1e300;
+    rejects(cfg, "bitrate_kbps");
+    cfg = scenario_config::paper_dynamic();
+    cfg.slot_seconds = 1e300;
+    cfg.horizon_seconds = 1e300;
+    rejects(cfg, "slot_seconds");
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = inf;
+    rejects(cfg, "seed_upload_multiple");
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = 1e300;
+    rejects(cfg, "seed_upload_multiple");
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = 21474837.0;  // 100 chunks/slot: just past 2^31
+    rejects(cfg, "seed_upload_multiple");
+    cfg = scenario_config::paper_dynamic();
+    cfg.peer_upload_max_multiple = inf;
+    rejects(cfg, "peer_upload_max_multiple");
+    cfg = scenario_config::paper_dynamic();
+    cfg.peer_upload_min_multiple = inf;
+    cfg.peer_upload_max_multiple = inf;
+    rejects(cfg, "peer_upload_max_multiple");
+    cfg = scenario_config::paper_dynamic();
+    cfg.peer_upload_max_multiple = 1e300;
+    rejects(cfg, "peer_upload_max_multiple");
+    // Just below the int32 bound is accepted.
+    cfg = scenario_config::paper_dynamic();
+    cfg.seed_upload_multiple = 21474836.0;
+    cfg.peer_upload_max_multiple = 21474836.0;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(instance_gen, respects_shape_parameters) {
