@@ -1,8 +1,8 @@
 // Ablation: auction convergence effort vs network size and policy.
 //
 // Reports bids, evictions and wall time per solve as the instance grows, for
-// the ε policy at two ε values and the paper-literal policy — quantifying the
-// cost of tighter optimality (DESIGN.md §5, decision 1).
+// the ε policy at two ε values and the paper-literal policy (core/bidder.h) —
+// quantifying what tighter optimality costs in bids and time.
 #include <chrono>
 #include <iostream>
 

@@ -2,8 +2,9 @@
 // miss rate under peer dynamics".
 //
 // Paper setup: Poisson(1/s) arrivals; peers "depart at any time with
-// probability 0.6" — modelled (see DESIGN.md) as: with probability 0.6 a peer
-// is an early quitter that leaves at a uniformly random point of its session.
+// probability 0.6" — modelled (scenario_config::departure_probability) as:
+// with probability 0.6 a peer is an early quitter that leaves at a uniformly
+// random point of its session.
 // All three per-slot series are reported for the auction and the locality
 // baseline.
 #include <iostream>

@@ -64,7 +64,6 @@ int main() {
     rep.add_scalar("scale", full ? "full" : "ci");
     rep.add_scalar("seed", static_cast<double>(bench::bench_seed()));
     double auction_20k_rate = 0.0;
-    double auction_par_20k_rate = 0.0;
 
     for (const auto& scenario_name : scenario_names) {
         const auto cfg = scenarios.make(scenario_name);
@@ -89,28 +88,18 @@ int main() {
         const double budget_seconds = full ? 2.0 : 0.2;
 
         // The registry is enumerated dynamically — registering a scheduler
-        // adds its rows here with no bench edits. Synthetic variants ride
-        // along: warm-started serial auction, and the Jacobi auction at 2/4
-        // solver threads (the t1 row is the plain "auction-par" entry).
+        // adds its rows here with no bench edits. One synthetic variant rides
+        // along: the warm-started auction.
         std::vector<std::string> names = schedulers.names();
         names.push_back("auction-warm");
-        names.push_back("auction-par-t2");
-        names.push_back("auction-par-t4");
         for (const auto& name : names) {
             const bool warm = name == "auction-warm";
-            std::size_t par_threads = 0;
-            if (name == "auction-par-t2") par_threads = 2;
-            if (name == "auction-par-t4") par_threads = 4;
             core::scheduler_params sp;
             sp.seed = bench::bench_seed();
-            if (par_threads != 0) sp.parallel_auction.num_threads = par_threads;
             // The warm row times run(): like the emulator's warm rounds and
             // every other row's solve(), it skips dual recovery.
             if (warm) sp.auction.compute_request_utilities = false;
-            std::string base = name;
-            if (warm) base = "auction";
-            if (par_threads != 0) base = "auction-par";
-            auto solver = schedulers.make(base, sp);
+            auto solver = schedulers.make(warm ? "auction" : name, sp);
             auto* auction = dynamic_cast<core::auction_solver*>(solver.get());
 
             // Warm-up solve (first-touch allocations land here, the steady
@@ -189,8 +178,6 @@ int main() {
                 rep.add_scalar("auction_warm_metro_5k_solves_per_s", solves_per_s);
             if (scenario_name == "metro_20k" && name == "auction")
                 auction_20k_rate = solves_per_s;
-            if (scenario_name == "metro_20k" && name == "auction-par")
-                auction_par_20k_rate = solves_per_s;
             // "exact" is the transportation simplex; the key keeps the
             // algorithm's name.
             if (scenario_name == "metro_20k" && name == "exact")
@@ -200,27 +187,6 @@ int main() {
     t.print(std::cout);
 
     rep.add_scalar("auction_metro_20k_solves_per_s", auction_20k_rate);
-    rep.add_scalar("auction_par_metro_20k_solves_per_s", auction_par_20k_rate);
-    // The PR 6 headline, against the solve-phase throughput recorded in the
-    // committed bench/slot_pipeline.json (metro_5k, 25 slots x 5 bidding
-    // rounds = 125 scheduler dispatches in 6.3166 s -> 19.79 solves/s, at
-    // commit e4073a5). The new row is a pure auction-par solve of the 4x
-    // larger metro_20k instance; the acceptance bar is >= 2x that recorded
-    // baseline rate.
-    constexpr double slot_pipeline_baseline = 125.0 / 6.316602;
-    rep.add_scalar("slot_pipeline_solve_baseline_solves_per_s",
-                   slot_pipeline_baseline);
-    rep.add_scalar("metro_20k_speedup_vs_slot_pipeline_baseline",
-                   auction_par_20k_rate / slot_pipeline_baseline);
-    // Same-instance ratio: auction-par vs the serial Gauss-Seidel auction on
-    // the identical metro_20k problem. At 1 solver thread both are bound by
-    // the same ~5 MB candidate stream, so this ratio hovers near 1; the
-    // bid/bin/merge phases (> 90% of the solve) split across the pool on
-    // multi-core hosts — see hardware_concurrency below for what this box
-    // could exploit.
-    rep.add_scalar("metro_20k_solve_speedup",
-                   auction_20k_rate > 0.0 ? auction_par_20k_rate / auction_20k_rate
-                                          : 0.0);
     rep.add_scalar("hardware_concurrency",
                    static_cast<double>(std::thread::hardware_concurrency()));
 

@@ -1,11 +1,12 @@
 // Ablation table: welfare of every registered scheduler relative to the
-// exact optimum, across instance families (DESIGN.md §5). Also sweeps the
-// locality baseline's retry budget — the knob behind "as much as possible".
+// exact optimum, across four ISP-structured instance families. Also sweeps
+// the locality baseline's retry budget — the knob behind "as much as
+// possible".
 //
 // Schedulers are resolved by name through the built-in registry
 // (baseline/registry.h): registering a new algorithm adds a column here with
-// no bench edits. Expected ordering per row: exact >= auction ≈ auction-par
-// >= greedy >> locality, with both auctions within n·ε of exact.
+// no bench edits. Expected ordering per row: exact >= auction >= greedy >>
+// locality, with the auction within n·ε of exact.
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -51,12 +52,6 @@ int main() {
 
     core::scheduler_params solver_params;
     solver_params.auction = {.bidding = {core::bid_policy::epsilon, 1e-3}};
-    // Same target ε as the serial column. auction-par keeps its deployment
-    // default (adaptive ε-scaling ON), so its column shows the documented
-    // scaling tradeoff on scarce supply — run with epsilon_scaling = false
-    // it matches the serial auction's welfare (tests/solver_equivalence
-    // pins that); here we bench what the emulator actually runs.
-    solver_params.parallel_auction.bidding = {core::bid_policy::epsilon, 1e-3};
 
     std::vector<std::string> columns = {"family"};
     columns.insert(columns.end(), names.begin(), names.end());

@@ -5,16 +5,25 @@
 namespace p2pcd::baseline {
 
 core::schedule greedy_welfare_scheduler::solve(const core::problem_view& problem) {
-    edges_.clear();
-    edges_.reserve(problem.num_candidates());
-    for (std::size_t r = 0; r < problem.num_requests(); ++r) {
-        const auto cands = problem.candidates(r);
-        const double v = problem.request(r).valuation;
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-            double profit = v - cands[i].cost;
-            if (profit > 0.0) edges_.push_back({r, i, cands[i].uploader, profit});
+    const std::uint32_t* offsets = problem.offsets().data();
+    const std::uint32_t* uploader_of = problem.cand_uploaders().data();
+    const double* cost = problem.cand_costs().data();
+    // Two passes over the slab: count the profitable edges, then store
+    // exactly those (full candidate lists carry many with w > v).
+    const auto for_each_profitable = [&](auto&& take) {
+        for (std::uint32_t r = 0; r < problem.num_requests(); ++r) {
+            const double v = problem.request(r).valuation;
+            for (std::uint32_t k = offsets[r]; k < offsets[r + 1]; ++k)
+                if (const double profit = v - cost[k]; profit > 0.0) take(r, k, profit);
         }
-    }
+    };
+    std::size_t profitable = 0;
+    for_each_profitable([&](std::uint32_t, std::uint32_t, double) { ++profitable; });
+    edges_.clear();
+    edges_.reserve(profitable);
+    for_each_profitable([&](std::uint32_t r, std::uint32_t k, double profit) {
+        edges_.push_back({r, k, profit});
+    });
     std::stable_sort(edges_.begin(), edges_.end(),
                      [](const edge& a, const edge& b) { return a.profit > b.profit; });
 
@@ -26,9 +35,11 @@ core::schedule greedy_welfare_scheduler::solve(const core::problem_view& problem
 
     for (const auto& e : edges_) {
         if (sched.choice[e.request] != core::no_candidate) continue;
-        if (remaining_[e.uploader] <= 0) continue;
-        --remaining_[e.uploader];
-        sched.choice[e.request] = static_cast<std::ptrdiff_t>(e.candidate);
+        const std::uint32_t u = uploader_of[e.candidate];
+        if (remaining_[u] <= 0) continue;
+        --remaining_[u];
+        sched.choice[e.request] =
+            static_cast<std::ptrdiff_t>(e.candidate - offsets[e.request]);
     }
     return sched;
 }

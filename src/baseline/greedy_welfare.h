@@ -6,6 +6,7 @@
 #ifndef P2PCD_BASELINE_GREEDY_WELFARE_H
 #define P2PCD_BASELINE_GREEDY_WELFARE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "core/problem.h"
@@ -25,10 +26,11 @@ public:
     }
 
 private:
+    // 16 B: the uploader and the row ordinal are read back off the CSR
+    // slab (problem.h bounds requests and candidates to u32).
     struct edge {
-        std::size_t request;
-        std::size_t candidate;
-        std::size_t uploader;
+        std::uint32_t request;
+        std::uint32_t candidate;  // flat CSR candidate index
         double profit;
     };
     // Persistent workspaces (see core::scheduler contract).

@@ -3,11 +3,11 @@
 // much as possible; for bandwidth allocation at an upstream peer, it always
 // prioritizes to transmit chunks with more urgent deadlines."
 //
-// Interpretation (documented in DESIGN.md): bidding proceeds in rounds. In
-// each round every still-unserved request knocks at its cheapest not-yet-tried
-// candidate; an uploader ranks the round's incoming requests by valuation
-// (urgency) and grants its remaining capacity top-down. Rejected requests try
-// their next-cheapest candidate next round, up to `max_rounds`.
+// Interpretation (the quote is all the paper specifies): bidding proceeds in
+// rounds. In each round every still-unserved request knocks at its cheapest
+// not-yet-tried candidate; an uploader ranks the round's incoming requests by
+// valuation (urgency) and grants its remaining capacity top-down. Rejected
+// requests try their next-cheapest candidate next round, up to `max_rounds`.
 //
 // The rounds are `knock_rounds`. Cheapest-first is the total order (cost,
 // ordinal) — a stable sort by cost — so after a rejection at ordinal p one

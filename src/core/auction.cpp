@@ -6,16 +6,16 @@
 
 namespace p2pcd::core {
 
-auction_ladder::auction_ladder(const auction_options& ladder) : ladder_(ladder) {
-    expects(ladder.bidding.epsilon >= 0.0, "epsilon must be non-negative");
-    expects(ladder.bidding.policy == bid_policy::paper_literal ||
-                ladder.bidding.epsilon > 0.0,
+auction_solver::auction_solver(auction_options options) : options_(options) {
+    expects(options.bidding.epsilon >= 0.0, "epsilon must be non-negative");
+    expects(options.bidding.policy == bid_policy::paper_literal ||
+                options.bidding.epsilon > 0.0,
             "the epsilon policy requires a positive epsilon");
-    if (ladder.epsilon_scaling) {
-        expects(ladder.bidding.policy == bid_policy::epsilon,
+    if (options.epsilon_scaling) {
+        expects(options.bidding.policy == bid_policy::epsilon,
                 "epsilon scaling requires the epsilon bid policy");
-        expects(ladder.scaling_factor > 1.0, "scaling factor must exceed 1");
-        expects(ladder.scaling_initial_epsilon >= ladder.bidding.epsilon,
+        expects(options.scaling_factor > 1.0, "scaling factor must exceed 1");
+        expects(options.scaling_initial_epsilon >= options.bidding.epsilon,
                 "initial epsilon must not be below the final epsilon");
     }
 }
@@ -27,7 +27,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     const std::size_t nu = problem.num_uploaders();
     const auto uploaders = problem.all_uploaders();
 
-    bidder_options bidding = ladder().bidding;
+    bidder_options bidding = options_.bidding;
     bidding.epsilon = epsilon;
 
     result.sched.choice.assign(nr, no_candidate);
@@ -53,7 +53,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     // Raw CSR arrays for the hot loop — no per-iteration bounds checks. The
     // uploader indices and costs come straight from the problem's SoA slabs:
     // each margin is evaluated as (v − w) − λ, the same expression (and so
-    // the same doubles) as auction-par and derive_request_utilities.
+    // the same doubles) as derive_request_utilities.
     const std::uint32_t* offsets = problem.offsets().data();
     const std::uint32_t* uploader_of = problem.cand_uploaders().data();
     const double* cand_costs = problem.cand_costs().data();
@@ -77,7 +77,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
             }
             r = queue_[queue_head++];
         }
-        ensures(iterations < ladder().max_bid_iterations,
+        ensures(iterations < options_.max_bid_iterations,
                 "auction exceeded its bid-iteration budget");
         ++iterations;
         const std::size_t base = offsets[r];
@@ -162,39 +162,38 @@ std::vector<double> epsilon_schedule(const problem_view& problem, double target,
     return schedule;
 }
 
-auction_result auction_ladder::run(const problem_view& problem,
+auction_result auction_solver::run(const problem_view& problem,
                                    std::span<const double> initial_prices) {
     auction_result result = descend(problem, initial_prices);
-    if (ladder_.compute_request_utilities)
+    if (options_.compute_request_utilities)
         result.request_utility = derive_request_utilities(problem, result.prices);
     return result;
 }
 
-schedule auction_ladder::solve(const problem_view& problem) {
+schedule auction_solver::solve(const problem_view& problem) {
     return descend(problem, {}).sched;
 }
 
-auction_result auction_ladder::descend(const problem_view& problem,
+auction_result auction_solver::descend(const problem_view& problem,
                                        std::span<const double> initial_prices) {
     const std::size_t nu = problem.num_uploaders();
     const std::size_t nr = problem.num_requests();
     expects(initial_prices.empty() || initial_prices.size() == nu,
             "initial price vector must cover every uploader");
-    begin_solve(problem);
 
     // The ε schedule: a single phase normally; a geometric descent from the
     // initial ε down to the target when scaling is on. A warm start from a
     // converged solve may collapse the ladder to the target rung outright —
     // decided before epsilon_schedule so the adaptive max(v−w) instance
     // sweep is skipped along with the coarse phases.
-    const bool early_exit = ladder_.warm_start_early_exit && ladder_.epsilon_scaling &&
+    const bool early_exit = options_.warm_start_early_exit && options_.epsilon_scaling &&
                             !initial_prices.empty() && last_run_converged_;
     const std::vector<double> schedule =
-        early_exit ? std::vector<double>{ladder_.bidding.epsilon}
-                   : epsilon_schedule(problem, ladder_.bidding.epsilon,
-                                      ladder_.scaling_initial_epsilon,
-                                      ladder_.scaling_factor, ladder_.epsilon_scaling,
-                                      ladder_.adaptive_scaling);
+        early_exit ? std::vector<double>{options_.bidding.epsilon}
+                   : epsilon_schedule(problem, options_.bidding.epsilon,
+                                      options_.scaling_initial_epsilon,
+                                      options_.scaling_factor, options_.epsilon_scaling,
+                                      options_.adaptive_scaling);
 
     const std::uint32_t* offsets = problem.offsets().data();
     const std::uint32_t* cand_up = problem.cand_uploaders().data();
@@ -207,7 +206,7 @@ auction_result auction_ladder::descend(const problem_view& problem,
         // is the answer.
         run_phase(problem, schedule[k], prices, result);
         ++result.phases_run;
-        if (ladder_.record_phase_trace)
+        if (options_.record_phase_trace)
             result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
 
         // Between phases, repair complementary slackness condition 1: a
@@ -269,28 +268,20 @@ std::vector<double> derive_request_utilities(const problem_view& problem,
     return utilities;
 }
 
-void auction_ladder::shed_memory() {
-    std::vector<std::int64_t>().swap(used_scratch_);
-}
-
-std::size_t auction_ladder::workspace_bytes() const {
-    return used_scratch_.capacity() * sizeof(std::int64_t);
-}
-
 void auction_solver::shed_memory() {
-    auction_ladder::shed_memory();
     std::vector<auctioneer>().swap(sellers_);
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
     std::vector<double>().swap(price_cache_);
+    std::vector<std::int64_t>().swap(used_scratch_);
 }
 
 std::size_t auction_solver::workspace_bytes() const {
-    std::size_t bytes = auction_ladder::workspace_bytes() +
-                        sellers_.capacity() * sizeof(auctioneer) +
+    std::size_t bytes = sellers_.capacity() * sizeof(auctioneer) +
                         queue_.capacity() * sizeof(std::size_t) +
                         parked_.capacity() * sizeof(parked_entry) +
-                        price_cache_.capacity() * sizeof(double);
+                        price_cache_.capacity() * sizeof(double) +
+                        used_scratch_.capacity() * sizeof(std::int64_t);
     for (const auto& s : sellers_) bytes += s.heap_bytes();
     return bytes;
 }

@@ -1,29 +1,24 @@
-// The ε-scaling ladder of the paper's auction (Sec. IV-B/IV-C), and its
-// synchronous (Gauss-Seidel) phase kernel.
+// The paper's auction (Sec. IV-B/IV-C) as a synchronous (Gauss-Seidel)
+// solver: bids are processed one at a time against up-to-date prices, inside
+// an optional ε-scaling ladder with a warm-start early-exit gate, an
+// inter-phase spare-capacity repair and dual recovery.
 //
-// `auction_ladder` is the part both centralized auctions share: the
-// warm-start early-exit gate, the ε schedule, counters accumulated across
-// phases, the inter-phase spare-capacity repair and dual recovery. A solver
-// supplies only its fixed-ε phase: `auction_solver` below processes bids one
-// at a time against up-to-date prices; `parallel_auction_solver`
-// (core/parallel_auction.h) runs Jacobi bidding rounds.
-//
-// The synchronous solver computes the same fixed point as the message-level
-// runtime in src/vod (both satisfy ε-complementary slackness at termination)
-// and is what the emulator uses for per-slot scheduling by default.
+// It computes the same fixed point as the message-level runtime in src/vod
+// (both satisfy ε-complementary slackness at termination) and is what the
+// emulator uses for per-slot scheduling by default.
 // Theorem 1's guarantees, as verified by the test suite:
 //  * terminates for every instance under the ε policy;
 //  * the schedule is primal feasible and the prices λ dual feasible;
 //  * welfare ≥ optimal − (#assigned)·ε — exactly optimal on integer-valued
 //    instances when ε < 1/(#requests).
 //
-// The solvers are long-lived: workspaces persist across run()/solve() calls,
+// The solver is long-lived: workspaces persist across run()/solve() calls,
 // so repeated solves on similarly-sized problems allocate ~nothing. The
-// synchronous solver's workspace is per uploader and per queued request only:
-// bids read v − w straight off the problem's cost slab, so nothing per
-// candidate is copied. run() may also be warm-started from a previous round's
-// prices (Sec. IV-C's slot price cycle), mirroring what vod::auction_runtime
-// does with its `initial_prices`.
+// workspace is per uploader and per queued request only: bids read v − w
+// straight off the problem's cost slab, so nothing per candidate is copied.
+// run() may also be warm-started from a previous round's prices (Sec. IV-C's
+// slot price cycle), mirroring what vod::auction_runtime does with its
+// `initial_prices`.
 #ifndef P2PCD_CORE_AUCTION_H
 #define P2PCD_CORE_AUCTION_H
 
@@ -45,11 +40,11 @@ struct auction_options {
     // ε-scaling (Bertsekas & Castañón 1989): run the auction in phases with
     // ε shrinking geometrically from `scaling_initial_epsilon` down to
     // bidding.epsilon, warm-starting each phase from the previous phase's
-    // prices. Cuts total bids on contended instances. Caveat (documented in
-    // EXPERIMENTS.md and quantified by bench/convergence_scaling): with
-    // scarce supply, warm-started prices on spare capacity can strand
-    // low-value requests, so the strict n·ε bound holds only for the
-    // unscaled auction; scaling trades a little welfare for speed.
+    // prices. Cuts total bids on contended instances. Caveat: with scarce
+    // supply, warm-started prices on spare capacity can strand low-value
+    // requests, so the strict n·ε bound holds only for the unscaled auction;
+    // scaling trades a little welfare for speed (~10% below optimal on the
+    // contended family of tests/scaling_test.cpp, which bounds it at 15%).
     bool epsilon_scaling = false;
     double scaling_initial_epsilon = 1.0;
     double scaling_factor = 4.0;
@@ -87,7 +82,7 @@ struct auction_options {
 // `record_phase_trace` is set: the ε the phase ran at, its final prices
 // (pre-repair) and its schedule. Every snapshot must satisfy ε-complementary
 // slackness at its own ε — the invariant tests/solver_equivalence_property
-// pins for both the synchronous and the parallel auction.
+// pins.
 struct auction_phase_snapshot {
     double epsilon = 0.0;
     std::vector<double> prices;
@@ -132,12 +127,13 @@ struct auction_result {
 [[nodiscard]] std::vector<double> derive_request_utilities(
     const problem_view& problem, std::vector<double>& prices);
 
-// The ε-scaling loop of both centralized auctions. run() descends the ε
-// schedule, calling the solver's run_phase() once per rung; between rungs a
-// seller left with spare capacity drops its price back to 0. Options are the
-// auction_options fields shared by both solvers' option structs.
-class auction_ladder : public scheduler {
+// The ε-scaling loop descends the ε schedule, running one complete
+// fixed-ε auction per rung; between rungs a seller left with spare capacity
+// drops its price back to 0.
+class auction_solver final : public scheduler {
 public:
+    explicit auction_solver(auction_options options = {});
+
     // λ_u begins at initial_prices[u] (must cover every uploader; empty =
     // cold start, all prices 0). With ε-scaling only the first phase is
     // warm-started. The emulator threads a slot's prices through its bidding
@@ -147,46 +143,26 @@ public:
                                      std::span<const double> initial_prices = {});
 
     // The schedule of a cold run(); never recovers duals.
-    [[nodiscard]] schedule solve(const problem_view& problem) final;
-    void shed_memory() override;
-    [[nodiscard]] std::size_t workspace_bytes() const override;
-
-protected:
-    explicit auction_ladder(const auction_options& ladder);
-    [[nodiscard]] const auction_options& ladder() const noexcept { return ladder_; }
-
-private:
-    // Per-solve setup ahead of the first phase (auction-par lays out its
-    // seller slab here).
-    virtual void begin_solve(const problem_view&) {}
-    // One complete auction at a fixed ε, warm-started from `prices`; final
-    // per-seller prices come back through the same vector. The phase
-    // overwrites `result.sched` and adds its counts to `result`'s counters.
-    virtual void run_phase(const problem_view& problem, double epsilon,
-                           std::vector<double>& prices, auction_result& result) = 0;
-    [[nodiscard]] auction_result descend(const problem_view& problem,
-                                         std::span<const double> initial_prices);
-
-    auction_options ladder_;
-    // Whether the previous run() reached ε-CS — the warm_start_early_exit
-    // precondition (a warm start from a diverged solve must re-descend).
-    bool last_run_converged_ = false;
-    std::vector<std::int64_t> used_scratch_;  // inter-phase repair
-};
-
-class auction_solver final : public auction_ladder {
-public:
-    explicit auction_solver(auction_options options = {}) : auction_ladder(options) {}
-
+    [[nodiscard]] schedule solve(const problem_view& problem) override;
     [[nodiscard]] std::string_view name() const override { return "auction"; }
     void shed_memory() override;
     [[nodiscard]] std::size_t workspace_bytes() const override;
 
-    [[nodiscard]] const auction_options& options() const noexcept { return ladder(); }
+    [[nodiscard]] const auction_options& options() const noexcept { return options_; }
 
 private:
+    [[nodiscard]] auction_result descend(const problem_view& problem,
+                                         std::span<const double> initial_prices);
+    // One complete auction at a fixed ε, warm-started from `prices`; final
+    // per-seller prices come back through the same vector. The phase
+    // overwrites `result.sched` and adds its counts to `result`'s counters.
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result) override;
+                   std::vector<double>& prices, auction_result& result);
+
+    auction_options options_;
+    // Whether the previous run() reached ε-CS — the warm_start_early_exit
+    // precondition (a warm start from a diverged solve must re-descend).
+    bool last_run_converged_ = false;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     std::vector<auctioneer> sellers_;
@@ -202,6 +178,7 @@ private:
     // (+inf for zero capacity): the per-bid gather reads this, not the
     // auctioneer objects.
     std::vector<double> price_cache_;
+    std::vector<std::int64_t> used_scratch_;  // inter-phase repair
 };
 
 }  // namespace p2pcd::core

@@ -45,9 +45,6 @@ void register_core_schedulers(scheduler_registry& registry) {
     registry.add("auction", [](const scheduler_params& params) {
         return std::make_unique<auction_solver>(params.auction);
     });
-    registry.add("auction-par", [](const scheduler_params& params) {
-        return std::make_unique<parallel_auction_solver>(params.parallel_auction);
-    });
     registry.add("exact", [](const scheduler_params&) {
         return std::make_unique<exact_scheduler>();
     });

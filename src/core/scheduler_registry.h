@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/auction.h"
-#include "core/parallel_auction.h"
 #include "core/problem.h"
 
 namespace p2pcd::core {
@@ -28,11 +27,6 @@ namespace p2pcd::core {
 struct scheduler_params {
     // "auction": full option set (ε policy, scaling, iteration budget).
     auction_options auction{.bidding = {bid_policy::epsilon, 0.05}};
-    // "auction-par": the Jacobi solver's own knobs (thread count, grain,
-    // adaptive ε ladder). Its ε defaults to the serial auction's 0.05 so the
-    // two are comparable out of the box.
-    parallel_auction_options parallel_auction{
-        .bidding = {bid_policy::epsilon, 0.05}};
     // "simple-locality": retry budget ("as much as possible" knob).
     std::size_t locality_max_rounds = 3;
     // Seeded schedulers ("random"): initial seed; the emulator re-keys it
@@ -63,9 +57,9 @@ private:
     std::map<std::string, factory, std::less<>> factories_;
 };
 
-// Registers the schedulers implemented in core: "auction", "auction-par"
-// and "exact". (baseline/registry.h adds the
-// comparison baselines and provides the fully-populated built-in registry.)
+// Registers the schedulers implemented in core: "auction" and "exact".
+// (baseline/registry.h adds the comparison baselines and provides the
+// fully-populated built-in registry.)
 void register_core_schedulers(scheduler_registry& registry);
 
 }  // namespace p2pcd::core

@@ -352,9 +352,8 @@ vod::memory_breakdown fleet::memory_footprint() const {
 }
 
 std::uint64_t fleet::solves_per_run() const noexcept {
-    const std::uint64_t rounds =
-        std::max<std::size_t>(1, options_.swarm_options.bid_rounds_per_slot);
-    return static_cast<std::uint64_t>(shards_.size()) * num_slots_ * rounds;
+    return static_cast<std::uint64_t>(shards_.size()) * num_slots_ *
+           options_.swarm_options.bid_rounds_per_slot;
 }
 
 double fleet::total_expected_viewers() const noexcept {

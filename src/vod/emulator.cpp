@@ -101,6 +101,9 @@ emulator::emulator(emulator_options options)
       arrival_rng_(rng_factory_.stream("arrivals")),
       peer_rng_(rng_factory_.stream("peers")) {
     options_.config.validate();
+    expects(options_.bid_rounds_per_slot >= 1, "bid_rounds_per_slot must be at least 1");
+    expects(std::isfinite(options_.latency_per_cost) && options_.latency_per_cost >= 0.0,
+            "latency_per_cost must be non-negative and finite");
     // Externally-provided assets must match what this config would build —
     // sharing may never change behavior.
     expects(assets_->catalog.num_videos() == options_.config.num_videos &&
@@ -117,19 +120,14 @@ emulator::emulator(emulator_options options)
         options_.registry ? *options_.registry : baseline::builtin_schedulers();
     core::scheduler_params params;
     params.auction = options_.auction;
-    params.parallel_auction = options_.parallel_auction;
-    // Nothing in the slot loop reads request utilities: skip the solvers'
+    // Nothing in the slot loop reads request utilities: skip the auction's
     // dual-recovery sweep outright.
     params.auction.compute_request_utilities = false;
-    params.parallel_auction.compute_request_utilities = false;
-    if (options_.warm_start == warm_start_mode::slots) {
+    if (options_.warm_start == warm_start_mode::slots)
         params.auction.warm_start_early_exit = true;
-        params.parallel_auction.warm_start_early_exit = true;
-    }
     params.locality_max_rounds = options_.locality.max_rounds;
     params.seed = options_.config.master_seed;
     scheduler_ = registry.make(options_.scheduler, params);
-    ladder_ = dynamic_cast<core::auction_ladder*>(scheduler_.get());
     auction_ = dynamic_cast<core::auction_solver*>(scheduler_.get());
     exact_ = dynamic_cast<core::exact_scheduler*>(scheduler_.get());
 
@@ -922,10 +920,10 @@ core::schedule emulator::dispatch(double round_start, double duration,
     const core::problem_view view = sp.problem.view();
     counters_.inc(c_solver_rounds_);
 
-    if (ladder_ != nullptr) {
+    if (auction_ != nullptr) {
         // Thread the slot's λ through its bidding rounds (Sec. IV-C's price
         // cycle): the distributed runtime always does, the centralized
-        // auctions when warm_start is on — with warm_start_mode::slots the
+        // auction when warm_start is on — with warm_start_mode::slots the
         // carried prices survive slot boundaries too (step() stops resetting
         // them). Empty prices are the cold start.
         const bool carry = distributed || options_.warm_start != warm_start_mode::off;
@@ -954,7 +952,7 @@ core::schedule emulator::dispatch(double round_start, double duration,
             price_series_built_ = false;
             result = std::move(outcome.auction);
         } else {
-            result = ladder_->run(view, initial);
+            result = auction_->run(view, initial);
             if (result.early_exited) slot_saw_early_exit_ = true;
         }
         if (carry)
@@ -1080,12 +1078,12 @@ const slot_metrics& emulator::step() {
                              slot_start >= options_.distributed_from &&
                              slot_start < options_.distributed_to;
     if (distributed) distributed_slot_starts_.push_back(slot_start);
-    // The synchronous auctions never bid on a candidate with w > v (its
-    // margin (v − w) − λ < 0 for every λ ≥ 0), so their rounds list only
+    // The synchronous auction never bids on a candidate with w > v (its
+    // margin (v − w) − λ < 0 for every λ ≥ 0), so its rounds list only
     // w ≤ v. Other schedulers and the runtime, which sends each price
     // update to every request listing the uploader, keep full lists.
-    const bool profitable_only = ladder_ != nullptr && !distributed;
-    const std::size_t rounds = std::max<std::size_t>(1, options_.bid_rounds_per_slot);
+    const bool profitable_only = auction_ != nullptr && !distributed;
+    const std::size_t rounds = options_.bid_rounds_per_slot;
     const double round_length = options_.config.slot_seconds /
                                 static_cast<double>(rounds);
     const std::size_t rows = peers_.rows();

@@ -1,6 +1,8 @@
 // The P2P VoD system emulator — the C++ discrete-time substitute for the
-// paper's Java cluster emulator (see DESIGN.md §2 for the substitution
-// argument).
+// paper's Java cluster emulator. The paper's scheduling is slotted (peers bid
+// per time slot, Sec. IV-C), so stepping slot by slot reproduces its figures;
+// only Fig. 2's price trace needs message timing, and vod::auction_runtime
+// supplies that on a simulated network.
 //
 // One emulator owns the catalog, ISP topology, cost model, tracker, seeds and
 // viewers, and advances slot by slot:
@@ -102,21 +104,18 @@ struct emulator_options {
     std::shared_ptr<const core::scheduler_registry> registry;
 
     core::auction_options auction{.bidding = {core::bid_policy::epsilon, 0.05}};
-    // Knobs for "auction-par" (the Jacobi solver); its ε defaults to the
-    // synchronous auction's 0.05 so the two race on equal terms.
-    core::parallel_auction_options parallel_auction{
-        .bidding = {core::bid_policy::epsilon, 0.05}};
     baseline::locality_options locality;
 
     // "During one time slot, a peer keeps bidding in order to acquire the
     // bandwidth to receive the 100 chunks it wants next" (Sec. V-A): each
     // slot is split into this many bidding rounds. A chunk unserved in an
     // early round is re-bid later at a higher deadline valuation, and B(u)
-    // is shared across the slot's rounds. 1 disables intra-slot re-bidding.
+    // is shared across the slot's rounds. 1 disables intra-slot re-bidding;
+    // 0 is rejected at construction.
     std::size_t bid_rounds_per_slot = 5;
 
-    // Price warm starts of the synchronous and Jacobi auctions. Off by
-    // default: the cold-start rounds are what the slot goldens pin.
+    // Price warm starts of the "auction" scheduler. Off by default: the
+    // cold-start rounds are what the slot goldens pin.
     //   rounds — thread each uploader's λ through the bidding rounds of one
     //            slot (the slot stays the price cycle of Sec. IV-C, exactly
     //            like the distributed runtime's slot_prices);
@@ -134,7 +133,7 @@ struct emulator_options {
     // `scheduler` "auction"; set by bench/fig2_price_convergence.
     double distributed_from = -1.0;
     double distributed_to = -1.0;
-    // One-way latency = latency_per_cost × w_{u→d} seconds.
+    // One-way latency = latency_per_cost × w_{u→d} seconds (finite, ≥ 0).
     double latency_per_cost = 0.05;
 
     // Telemetry (src/obs/). Default-off: no sink, no spans — the slot loop
@@ -500,14 +499,12 @@ private:
     std::int32_t id_base_ = 0;       // next_peer_id_ right after construction
     std::uint64_t arrival_seq_ = 0;  // Poisson arrivals drawn so far
 
-    // Long-lived scheduler from the registry; `ladder_` is the non-null
-    // downcast when either built-in auction is selected (the richer run()
-    // API: bid diagnostics and warm-start prices), and `auction_` when the
-    // synchronous one is — only it may hand slots to the distributed runtime.
-    // `exact_` is the downcast for "exact", whose simplex pivots feed the
-    // solver.pivots counter.
+    // Long-lived scheduler from the registry; `auction_` is the non-null
+    // downcast when "auction" is selected (the richer run() API: bid
+    // diagnostics and warm-start prices, and the hand-off of slots to the
+    // distributed runtime). `exact_` is the downcast for "exact", whose
+    // simplex pivots feed the solver.pivots counter.
     std::unique_ptr<core::scheduler> scheduler_;
-    core::auction_ladder* ladder_ = nullptr;
     core::auction_solver* auction_ = nullptr;
     core::exact_scheduler* exact_ = nullptr;
 

@@ -13,8 +13,10 @@ namespace p2pcd::workload {
 void fleet_config::validate() const {
     expects(!swarm_scenario.empty(), "fleet needs a base swarm scenario name");
     expects(num_swarms > 0, "fleet needs at least one swarm");
-    expects(popularity_alpha > 0.0, "fleet popularity exponent must be positive");
-    expects(popularity_q >= 0.0, "fleet popularity shift must be non-negative");
+    expects(std::isfinite(popularity_alpha) && popularity_alpha > 0.0,
+            "popularity_alpha must be positive and finite");
+    expects(std::isfinite(popularity_q) && popularity_q >= 0.0,
+            "popularity_q must be non-negative and finite");
     expects(!scheduler.empty(), "fleet needs a scheduler name");
     coupling.validate();
 }
@@ -145,6 +147,18 @@ std::vector<swarm_spec> expand_fleet(const fleet_config& fleet,
     base.validate();
     expects(fleet.total_peers == 0 || base.expected_viewers() > 0.0,
             "population scaling needs a base scenario with viewers");
+    // The uplink broker floors each swarm's share of a seeder's shared budget
+    // to an int32 capacity, so the budget itself must fit one. This is the
+    // product engine::fleet hands the broker, in the same order.
+    const capacity::coupling_config& coupling = fleet.coupling;
+    if (coupling.enabled && coupling.share_seed_uplinks) {
+        const double seed_budget = base.seed_upload_multiple *
+                                   static_cast<double>(base.chunks_per_slot()) *
+                                   coupling.uplink_budget_multiple;
+        expects(seed_budget < 2147483648.0,  // 2^31
+                "uplink_budget_multiple * seed_upload_multiple * chunks_per_slot "
+                "must fit an int32 upload capacity");
+    }
 
     const sim::zipf_mandelbrot popularity(fleet.num_swarms, fleet.popularity_alpha,
                                           fleet.popularity_q);

@@ -5,12 +5,10 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/contracts.h"
 #include "core/exact.h"
-#include "core/parallel_auction.h"
 #include "core/welfare.h"
 #include "opt/duality.h"
 #include "workload/instance_gen.h"
@@ -188,22 +186,8 @@ TEST(auction, rejects_invalid_options) {
     EXPECT_THROW((void)make_negative_eps(), contract_violation);
 }
 
-// Both centralized auctions behind the ε ladder they share, built from the
-// same settings. auction-par runs on a two-worker pool with grain 1, so its
-// bid and merge blocks really split.
-std::unique_ptr<auction_ladder> make_auction(bool parallel, const auction_options& o) {
-    if (!parallel) return std::make_unique<auction_solver>(o);
-    return std::make_unique<parallel_auction_solver>(parallel_auction_options{
-        .bidding = o.bidding,
-        .epsilon_scaling = o.epsilon_scaling,
-        .adaptive_scaling = o.adaptive_scaling,
-        .scaling_initial_epsilon = o.scaling_initial_epsilon,
-        .scaling_factor = o.scaling_factor,
-        .record_phase_trace = o.record_phase_trace,
-        .compute_request_utilities = o.compute_request_utilities,
-        .warm_start_early_exit = o.warm_start_early_exit,
-        .num_threads = 2,
-        .grain = 1});
+std::unique_ptr<auction_solver> make_auction(const auction_options& o) {
+    return std::make_unique<auction_solver>(o);
 }
 
 // 60 requests over 12 uploaders of capacity capacity_min..3: contended, so
@@ -218,7 +202,7 @@ scheduling_problem contended_instance(std::uint64_t seed, std::int32_t capacity_
 }
 
 // η comes out of derive_request_utilities, the one sweep of the flat cost
-// slab both auctions and the message-level runtime use: run()'s η must equal
+// slab the auction and the message-level runtime use: run()'s η must equal
 // a re-derivation from run()'s own prices bit for bit, with or without
 // zero-capacity uploaders (whose prices the sweep lifts, idempotently). A
 // schedule-only solver (compute_request_utilities off) returns no η and
@@ -226,36 +210,31 @@ scheduling_problem contended_instance(std::uint64_t seed, std::int32_t capacity_
 TEST(auction, request_utility_from_cost_slab_matches_derive_bit_for_bit) {
     auction_options lean_options;
     lean_options.compute_request_utilities = false;
-    for (const bool parallel : {false, true}) {
-        const std::string solver = parallel ? "auction-par" : "auction";
-        for (const std::int32_t capacity_min : {1, 0}) {
-            bool saw_zero_capacity = false;
-            for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-                const auto p = contended_instance(seed, capacity_min);
-                for (const auto& u : p.view().all_uploaders())
-                    saw_zero_capacity = saw_zero_capacity || u.capacity == 0;
-                const auto result = make_auction(parallel, {})->run(p);
-                ASSERT_EQ(result.request_utility.size(), p.num_requests());
-                std::vector<double> prices = result.prices;
-                const std::vector<double> derived = derive_request_utilities(p, prices);
-                for (std::size_t r = 0; r < derived.size(); ++r)
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.request_utility[r]),
-                              std::bit_cast<std::uint64_t>(derived[r]))
-                        << solver << " seed " << seed << " request " << r;
-                EXPECT_EQ(prices, result.prices) << solver << " seed " << seed;
+    for (const std::int32_t capacity_min : {1, 0}) {
+        bool saw_zero_capacity = false;
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            const auto p = contended_instance(seed, capacity_min);
+            for (const auto& u : p.view().all_uploaders())
+                saw_zero_capacity = saw_zero_capacity || u.capacity == 0;
+            const auto result = make_auction({})->run(p);
+            ASSERT_EQ(result.request_utility.size(), p.num_requests());
+            std::vector<double> prices = result.prices;
+            const std::vector<double> derived = derive_request_utilities(p, prices);
+            for (std::size_t r = 0; r < derived.size(); ++r)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(result.request_utility[r]),
+                          std::bit_cast<std::uint64_t>(derived[r]))
+                    << "seed " << seed << " request " << r;
+            EXPECT_EQ(prices, result.prices) << "seed " << seed;
 
-                const auto lean_result = make_auction(parallel, lean_options)->run(p);
-                EXPECT_TRUE(lean_result.request_utility.empty());
-                EXPECT_EQ(lean_result.sched.choice, result.sched.choice)
-                    << solver << " seed " << seed;
-                EXPECT_EQ(lean_result.bids_submitted, result.bids_submitted);
-                if (capacity_min > 0) {  // recovery lifts zero-capacity prices
-                    EXPECT_EQ(lean_result.prices, result.prices)
-                        << solver << " seed " << seed;
-                }
+            const auto lean_result = make_auction(lean_options)->run(p);
+            EXPECT_TRUE(lean_result.request_utility.empty());
+            EXPECT_EQ(lean_result.sched.choice, result.sched.choice) << "seed " << seed;
+            EXPECT_EQ(lean_result.bids_submitted, result.bids_submitted);
+            if (capacity_min > 0) {  // recovery lifts zero-capacity prices
+                EXPECT_EQ(lean_result.prices, result.prices) << "seed " << seed;
             }
-            EXPECT_EQ(saw_zero_capacity, capacity_min == 0) << solver;
         }
+        EXPECT_EQ(saw_zero_capacity, capacity_min == 0);
     }
 }
 
@@ -271,66 +250,60 @@ auction_options scaled_ladder(bool early_exit) {
 // warm prices are given AND the previous run() converged: never for a fresh
 // solver, never on a cold start, never without it set, and with scaling off
 // there is no ladder to collapse.
-TEST(auction_ladder, early_exit_needs_warm_prices_after_a_converged_run) {
+TEST(auction, early_exit_needs_warm_prices_after_a_converged_run) {
     const auto p = contended_instance(5);
     const std::size_t rungs = epsilon_schedule(p, 1e-3, 1.0, 4.0, true, false).size();
     ASSERT_GT(rungs, 1u);
-    for (const bool parallel : {false, true}) {
-        const std::string solver = parallel ? "auction-par" : "auction";
-        const std::vector<double> warm = make_auction(parallel, {})->run(p).prices;
+    const std::vector<double> warm = make_auction({})->run(p).prices;
 
-        const auto ladder = make_auction(parallel, scaled_ladder(true));
-        const auto fresh_warm = ladder->run(p, warm);  // no previous run()
-        EXPECT_FALSE(fresh_warm.early_exited) << solver;
-        EXPECT_EQ(fresh_warm.phases_run, rungs) << solver;
-        const auto cold = ladder->run(p);  // previous run() converged
-        ASSERT_TRUE(cold.converged) << solver;
-        EXPECT_FALSE(cold.early_exited) << solver;
-        EXPECT_EQ(cold.phases_run, rungs) << solver;
-        const auto collapsed = ladder->run(p, cold.prices);
-        EXPECT_TRUE(collapsed.early_exited) << solver;
-        EXPECT_EQ(collapsed.phases_run, 1u) << solver;
-        EXPECT_TRUE(collapsed.converged) << solver;
-        (void)ladder->solve(p);  // cold, so it descends the whole ladder
-        const auto again = ladder->run(p, collapsed.prices);
-        EXPECT_TRUE(again.early_exited) << solver;
-        EXPECT_EQ(again.phases_run, 1u) << solver;
+    const auto ladder = make_auction(scaled_ladder(true));
+    const auto fresh_warm = ladder->run(p, warm);  // no previous run()
+    EXPECT_FALSE(fresh_warm.early_exited);
+    EXPECT_EQ(fresh_warm.phases_run, rungs);
+    const auto cold = ladder->run(p);  // previous run() converged
+    ASSERT_TRUE(cold.converged);
+    EXPECT_FALSE(cold.early_exited);
+    EXPECT_EQ(cold.phases_run, rungs);
+    const auto collapsed = ladder->run(p, cold.prices);
+    EXPECT_TRUE(collapsed.early_exited);
+    EXPECT_EQ(collapsed.phases_run, 1u);
+    EXPECT_TRUE(collapsed.converged);
+    (void)ladder->solve(p);  // cold, so it descends the whole ladder
+    const auto again = ladder->run(p, collapsed.prices);
+    EXPECT_TRUE(again.early_exited);
+    EXPECT_EQ(again.phases_run, 1u);
 
-        const auto unarmed = make_auction(parallel, scaled_ladder(false));
-        (void)unarmed->run(p);
-        const auto unarmed_warm = unarmed->run(p, warm);
-        EXPECT_FALSE(unarmed_warm.early_exited) << solver;
-        EXPECT_EQ(unarmed_warm.phases_run, rungs) << solver;
+    const auto unarmed = make_auction(scaled_ladder(false));
+    (void)unarmed->run(p);
+    const auto unarmed_warm = unarmed->run(p, warm);
+    EXPECT_FALSE(unarmed_warm.early_exited);
+    EXPECT_EQ(unarmed_warm.phases_run, rungs);
 
-        auction_options flat = scaled_ladder(true);
-        flat.epsilon_scaling = false;
-        const auto single = make_auction(parallel, flat);
-        (void)single->run(p);
-        const auto single_warm = single->run(p, warm);
-        EXPECT_FALSE(single_warm.early_exited) << solver;
-        EXPECT_EQ(single_warm.phases_run, 1u) << solver;
-    }
+    auction_options flat = scaled_ladder(true);
+    flat.epsilon_scaling = false;
+    const auto single = make_auction(flat);
+    (void)single->run(p);
+    const auto single_warm = single->run(p, warm);
+    EXPECT_FALSE(single_warm.early_exited);
+    EXPECT_EQ(single_warm.phases_run, 1u);
 }
 
 // solve() is a cold run()'s schedule, minus the dual recovery nobody reads:
-// for both auctions, with and without ε-scaling.
+// with and without ε-scaling.
 TEST(auction, solve_matches_run) {
     std::vector<scheduling_problem> instances;
     instances.push_back(workload::make_uniform_instance({.seed = 3}));
     for (std::uint64_t seed = 1; seed <= 6; ++seed)
         instances.push_back(contended_instance(seed));
-    for (const bool parallel : {false, true}) {
-        for (const bool scaling : {false, true}) {
-            auction_options options = scaled_ladder(false);
-            options.epsilon_scaling = scaling;
-            options.adaptive_scaling = scaling;
-            for (std::size_t i = 0; i < instances.size(); ++i) {
-                const auto solver = make_auction(parallel, options);
-                const auto run_result = solver->run(instances[i]);
-                EXPECT_EQ(solver->solve(instances[i]).choice, run_result.sched.choice)
-                    << (parallel ? "auction-par" : "auction") << " scaling " << scaling
-                    << " instance " << i;
-            }
+    for (const bool scaling : {false, true}) {
+        auction_options options = scaled_ladder(false);
+        options.epsilon_scaling = scaling;
+        options.adaptive_scaling = scaling;
+        for (std::size_t i = 0; i < instances.size(); ++i) {
+            const auto solver = make_auction(options);
+            const auto run_result = solver->run(instances[i]);
+            EXPECT_EQ(solver->solve(instances[i]).choice, run_result.sched.choice)
+                << "scaling " << scaling << " instance " << i;
         }
     }
 }

@@ -4,7 +4,8 @@
 // knocks collected in per-uploader vectors and stable-sorted by valuation.
 // They share one round loop here; otherwise their logic is the library's
 // former implementation. On a randomized corpus the library schedulers must
-// reproduce their `choice` vectors exactly.
+// reproduce their `choice` vectors exactly. greedy-welfare is held the same
+// way against its former 32-byte edge form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/greedy_welfare.h"
 #include "baseline/random_scheduler.h"
 #include "baseline/simple_locality.h"
 #include "sim/rng.h"
@@ -96,6 +98,40 @@ core::schedule reference_random(const core::problem_view& problem, sim::rng_stre
         std::shuffle(begin, end, rng.engine());
     }
     return reference_rounds(problem, order, max_rounds);
+}
+
+// greedy-welfare with its former edge layout: request, row ordinal and
+// uploader as std::size_t plus the profit (32 B), stable-sorted by profit.
+core::schedule reference_greedy(const core::problem_view& problem) {
+    struct edge {
+        std::size_t request;
+        std::size_t candidate;
+        std::size_t uploader;
+        double profit;
+    };
+    std::vector<edge> edges;
+    for (std::size_t r = 0; r < problem.num_requests(); ++r) {
+        const auto cands = problem.candidates(r);
+        const double v = problem.request(r).valuation;
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+            double profit = v - cands[i].cost;
+            if (profit > 0.0) edges.push_back({r, i, cands[i].uploader, profit});
+        }
+    }
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const edge& a, const edge& b) { return a.profit > b.profit; });
+    core::schedule sched;
+    sched.choice.assign(problem.num_requests(), core::no_candidate);
+    std::vector<std::int64_t> remaining(problem.num_uploaders());
+    for (std::size_t u = 0; u < problem.num_uploaders(); ++u)
+        remaining[u] = problem.uploader(u).capacity;
+    for (const auto& e : edges) {
+        if (sched.choice[e.request] != core::no_candidate) continue;
+        if (remaining[e.uploader] <= 0) continue;
+        --remaining[e.uploader];
+        sched.choice[e.request] = static_cast<std::ptrdiff_t>(e.candidate);
+    }
+    return sched;
 }
 
 // Instances built to stress every tie-break: costs and valuations drawn from
@@ -187,6 +223,22 @@ TEST(baseline_reference, random_matches_stable_sort_oracle) {
                 << where(seed, rounds);
         }
     }
+}
+
+// Equal profits abound in this corpus, so the stable sort's tie order (CSR
+// order of the edges) decides most schedules: the 16-byte edges must keep it.
+TEST(baseline_reference, greedy_welfare_matches_32_byte_edge_oracle) {
+    greedy_welfare_scheduler warm;
+    std::size_t served = 0;
+    for (std::uint64_t seed = 0; seed < corpus_size; ++seed) {
+        const auto problem = make_tie_heavy_instance(seed);
+        const auto expected = reference_greedy(problem);
+        ASSERT_EQ(warm.solve(problem).choice, expected.choice) << "seed " << seed;
+        greedy_welfare_scheduler cold;
+        ASSERT_EQ(cold.solve(problem).choice, expected.choice) << "seed " << seed;
+        for (const auto c : expected.choice) served += c != core::no_candidate;
+    }
+    EXPECT_GT(served, 1000u) << "the corpus must serve requests";
 }
 
 }  // namespace

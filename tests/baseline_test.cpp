@@ -171,6 +171,16 @@ TEST(random_scheduler, workspace_is_counted_and_shed) {
 TEST(greedy_welfare, workspace_is_counted_and_shed) {
     greedy_welfare_scheduler solver;
     expect_workspace_counted_and_shed(solver);
+    // The regrown workspace: 16 B per profitable edge (u32 request, u32 flat
+    // candidate index, the profit) and one remaining capacity per uploader.
+    const auto p = workload::make_isp_instance({.seed = 4}).problem;
+    std::size_t profitable = 0;
+    for (std::size_t r = 0; r < p.num_requests(); ++r)
+        for (const auto& c : p.candidates(r))
+            profitable += p.request(r).valuation - c.cost > 0.0;
+    ASSERT_GT(profitable, 0u);
+    EXPECT_LE(solver.workspace_bytes(),
+              16 * profitable + p.num_uploaders() * sizeof(std::int64_t));
 }
 
 TEST(exact, workspace_is_counted_and_shed) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "common/contracts.h"
 
@@ -15,6 +17,32 @@ emulator_options small_options(const std::string& scheduler = "auction") {
     opts.config = workload::scenario_config::small_test();
     opts.scheduler = scheduler;
     return opts;
+}
+
+// Zero bidding rounds and a negative or non-finite latency factor are
+// rejected at construction, each by name.
+TEST(emulator, rejects_zero_rounds_and_bad_latency) {
+    const auto rejects = [](emulator_options bad, const std::string& field) {
+        try {
+            emulator emu(std::move(bad));
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const contract_violation& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    auto opts = small_options();
+    opts.bid_rounds_per_slot = 0;
+    rejects(opts, "bid_rounds_per_slot");
+    for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        opts = small_options();
+        opts.latency_per_cost = bad;
+        rejects(opts, "latency_per_cost");
+    }
+    opts = small_options();
+    opts.bid_rounds_per_slot = 1;
+    opts.latency_per_cost = 0.0;
+    EXPECT_NO_THROW(emulator{std::move(opts)});
 }
 
 TEST(emulator, seeds_are_provisioned_per_isp_and_video) {

@@ -14,6 +14,8 @@ endif()
 set(bad_command_lines
     "--peers abc"
     "--rounds x"
+    "--rounds 0"
+    "--rounds 0 --fleet fleet_smoke"
     "--epsilon 0"
     "--epsilon -1"
     "--peers -5"

@@ -110,29 +110,6 @@ TEST(fleet_determinism, merged_ledger_identical_for_1_4_and_16_threads) {
     }
 }
 
-std::unique_ptr<engine::fleet> run_parallel_auction_fleet(std::size_t fleet_threads,
-                                                         std::size_t solver_threads) {
-    engine::fleet_options options;
-    options.config = workload::fleet_config::smoke();
-    options.config.scheduler = "auction-par";
-    options.swarm_options.parallel_auction.num_threads = solver_threads;
-    options.threads = fleet_threads;
-    auto fleet = std::make_unique<engine::fleet>(std::move(options));
-    fleet->run();
-    return fleet;
-}
-
-// Two layers of parallelism stacked — shards across the fleet pool, bidding
-// rounds across each solver's own pool — and the merged metrics still may
-// not depend on either thread count.
-TEST(fleet_determinism, parallel_auction_fleet_identical_across_both_pools) {
-    const auto reference = run_parallel_auction_fleet(1, 1);
-    EXPECT_GT(reference->total_welfare(), 0.0);
-    expect_bit_identical(*reference, *run_parallel_auction_fleet(4, 1));
-    expect_bit_identical(*reference, *run_parallel_auction_fleet(1, 2));
-    expect_bit_identical(*reference, *run_parallel_auction_fleet(4, 2));
-}
-
 std::unique_ptr<engine::fleet> run_coupled_fleet(std::size_t threads) {
     engine::fleet_options options;
     options.config = workload::builtin_fleets().make("fleet_coupled_smoke");

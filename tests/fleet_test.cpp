@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,6 +101,82 @@ TEST(fleet_config, with_swarms_scales_the_viewer_target_proportionally) {
     unbounded.total_peers = 0;  // "keep the base population" stays intact
     EXPECT_EQ(unbounded.with_swarms(7).total_peers, 0u);
     EXPECT_EQ(unbounded.with_swarms(7).num_swarms, 7u);
+}
+
+// Non-finite fleet and coupling values (+inf as well as NaN) are rejected,
+// each by name.
+TEST(fleet_config, validation_rejects_non_finite_values) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto rejects = [](const workload::fleet_config& bad, const std::string& field) {
+        try {
+            bad.validate();
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const contract_violation& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    const workload::fleet_config coupled = workload::fleet_config::coupled_smoke_fleet();
+    EXPECT_NO_THROW(coupled.validate());
+    for (const double bad : {inf, nan}) {
+        auto cfg = coupled;
+        cfg.popularity_alpha = bad;
+        rejects(cfg, "popularity_alpha");
+        cfg = coupled;
+        cfg.popularity_q = bad;
+        rejects(cfg, "popularity_q");
+        cfg = coupled;
+        cfg.coupling.link_capacity_scale = bad;
+        rejects(cfg, "link_capacity_scale");
+        cfg = coupled;
+        cfg.coupling.surcharge_gain = bad;
+        rejects(cfg, "surcharge_gain");
+        cfg = coupled;
+        cfg.coupling.max_surcharge = bad;
+        rejects(cfg, "max_surcharge");
+        cfg = coupled;
+        cfg.coupling.uplink_budget_multiple = bad;
+        rejects(cfg, "uplink_budget_multiple");
+        cfg = coupled;
+        cfg.coupling.admission_gain = bad;
+        rejects(cfg, "admission_gain");
+        cfg = coupled;
+        cfg.coupling.viewer_demand_chunks = bad;
+        rejects(cfg, "viewer_demand_chunks");
+    }
+}
+
+// The uplink broker floors each swarm's share of a seeder's shared budget
+// (seed_upload_multiple × chunks_per_slot × uplink_budget_multiple) to an
+// int32, so a budget past 2^31 must be rejected before any shard is built.
+TEST(fleet_config, seed_budget_must_fit_int32) {
+    auto cfg = workload::fleet_config::coupled_smoke_fleet();
+    const auto base = workload::builtin_scenarios().make(cfg.swarm_scenario);
+    const double per_multiple =
+        base.seed_upload_multiple * static_cast<double>(base.chunks_per_slot());
+    const double just_past = std::nextafter(2147483648.0 / per_multiple, 1e300);
+    ASSERT_GE(per_multiple * just_past, 2147483648.0);
+    for (const double multiple : {just_past, 1e300}) {
+        cfg.coupling.uplink_budget_multiple = multiple;
+        try {
+            (void)workload::expand_fleet(cfg, base);
+            ADD_FAILURE() << "uplink_budget_multiple " << multiple << " was accepted";
+        } catch (const contract_violation& e) {
+            EXPECT_NE(std::string(e.what()).find("uplink_budget_multiple"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    engine::fleet_options options;
+    options.config = cfg;
+    EXPECT_THROW(engine::fleet{std::move(options)}, contract_violation);
+    // Just below the bound is accepted; without shared uplinks there is no
+    // shared budget to bound.
+    cfg.coupling.uplink_budget_multiple = 2147483647.0 / per_multiple;
+    EXPECT_NO_THROW((void)workload::expand_fleet(cfg, base));
+    cfg.coupling.uplink_budget_multiple = 1e300;
+    cfg.coupling.share_seed_uplinks = false;
+    EXPECT_NO_THROW((void)workload::expand_fleet(cfg, base));
 }
 
 TEST(fleet_registry, builtin_fleets_round_trip) {
@@ -206,14 +283,15 @@ TEST(shard, rejects_a_seed_not_derived_from_the_swarm_index) {
                                          workload::builtin_scenarios());
     auto spec = swarms[1];
     spec.config.master_seed = 12345;  // not swarm_seed(42, 1)
-    EXPECT_THROW(engine::shard(spec, 42, vod::emulator_options{}),
-                 contract_violation);
+    const vod::emulator_options options;
+    EXPECT_THROW(engine::shard(spec, 42, options), contract_violation);
 }
 
 TEST(shard, exposes_its_swarm_identity) {
     auto swarms = workload::expand_fleet(workload::fleet_config::smoke(),
                                          workload::builtin_scenarios());
-    engine::shard s(swarms[2], 42, vod::emulator_options{});
+    const vod::emulator_options options;
+    engine::shard s(swarms[2], 42, options);
     EXPECT_EQ(s.swarm_index(), 2u);
     EXPECT_EQ(s.seed(), workload::swarm_seed(42, 2));
     EXPECT_GT(s.popularity(), 0.0);

@@ -90,30 +90,6 @@ inline constexpr const golden_run_hashes* golden_for(std::string_view scenario) 
     return nullptr;
 }
 
-// Goldens for the parallel (Jacobi) auction scheduler ("auction-par").
-// The Jacobi auction reaches a *different* fixed point than the serial
-// Gauss-Seidel auction — same ε-CS guarantees, different tie resolution — so
-// it gets its own pinned hashes rather than inheriting `golden_runs`. The
-// constants are thread-count independent by construction (the merge is
-// deterministic at any `num_threads`); tests/slot_golden_test.cpp checks
-// that invariant separately by re-running at 2/4/16 threads. Captured
-// 2026-08-08 on GCC 12 / x86-64, num_threads = 1, default options.
-inline constexpr golden_run_hashes golden_parallel_runs[] = {
-    {"economy_smoke", 0xba4895265c419f4bull, 0xf69fdd2fd23da1a4ull,
-     0xece8949adddba716ull},
-    {"metro_5k", 0x0f9d775a1fbf7a07ull, 0x4c432566dad8c16aull,
-     0x2573102ca363cff7ull},
-    {"flash_crowd_10k", 0xfdcc0b162daeb7bfull, 0x748e30e4cc51208bull,
-     0x64d5371686ecfc05ull},
-};
-
-inline constexpr const golden_run_hashes* golden_parallel_for(
-    std::string_view scenario) {
-    for (const auto& g : golden_parallel_runs)
-        if (g.scenario == scenario) return &g;
-    return nullptr;
-}
-
 // Cross-slot warm starts (emulator_options::warm_start = slots: a slot's
 // final prices seed the next slot's first round, and under ε-scaling a
 // converged solver re-runs on the collapsed {target ε} ladder) change
@@ -122,9 +98,6 @@ inline constexpr const golden_run_hashes* golden_parallel_for(
 inline constexpr golden_run_hashes golden_warm_slots_economy = {
     "economy_smoke", 0xba4895265c419f4bull, 0xb6a61c45ee985223ull,
     0x0af3986d1cf5a356ull};
-inline constexpr golden_run_hashes golden_warm_slots_economy_par = {
-    "economy_smoke", 0xba4895265c419f4bull, 0x4cf4d7c38a1dd468ull,
-    0x49d9cbac4010b3b4ull};
 
 // The paper's Sec. V baseline ("simple-locality", default 3 knock rounds)
 // over economy_smoke's full horizon. Captured 2026-10-18 on GCC 12 / x86-64

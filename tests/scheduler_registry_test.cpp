@@ -20,9 +20,9 @@ namespace {
 TEST(scheduler_registry, builtin_names_round_trip) {
     const auto& registry = baseline::builtin_schedulers();
     auto names = registry.names();
-    EXPECT_EQ(names.size(), 6u);
-    for (const char* expected : {"auction", "auction-par", "exact", "greedy-welfare",
-                                 "random", "simple-locality"})
+    EXPECT_EQ(names.size(), 5u);
+    for (const char* expected :
+         {"auction", "exact", "greedy-welfare", "random", "simple-locality"})
         EXPECT_TRUE(registry.contains(expected)) << expected;
 
     auto problem = workload::make_uniform_instance({.num_requests = 20, .seed = 2});
@@ -68,14 +68,6 @@ TEST(scheduler_registry, params_reach_the_factories) {
     auto* auction = dynamic_cast<core::auction_solver*>(solver.get());
     ASSERT_NE(auction, nullptr);
     EXPECT_DOUBLE_EQ(auction->options().bidding.epsilon, 0.5);
-
-    params.parallel_auction.bidding.epsilon = 0.25;
-    params.parallel_auction.num_threads = 2;
-    auto par = registry.make("auction-par", params);
-    auto* par_auction = dynamic_cast<core::parallel_auction_solver*>(par.get());
-    ASSERT_NE(par_auction, nullptr);
-    EXPECT_DOUBLE_EQ(par_auction->options().bidding.epsilon, 0.25);
-    EXPECT_EQ(par_auction->threads(), 2u);
 }
 
 // A trivial custom algorithm: serve nothing. Registering it and naming it in

@@ -37,7 +37,6 @@ struct run_hashes {
 // Knobs a golden run may vary from the default emulator configuration.
 struct scenario_run_options {
     std::string scheduler = "auction";
-    std::size_t solver_threads = 1;  // auction-par only
     warm_start_mode warm_start = warm_start_mode::off;
     std::size_t max_slots = 0;  // 0 = the scenario's full horizon
     bool telemetry = false;  // full pipeline: counters + spans + JSONL sink
@@ -48,7 +47,6 @@ run_hashes run_scenario(const std::string& name,
     emulator_options opts;
     opts.config = workload::builtin_scenarios().make(name);
     opts.scheduler = ro.scheduler;
-    opts.parallel_auction.num_threads = ro.solver_threads;
     opts.warm_start = ro.warm_start;
     std::ostringstream telemetry_out;
     std::optional<obs::jsonl_sink> sink;
@@ -109,31 +107,6 @@ void check_scenario(const std::string& name) {
     check_against(name, "", golden_for(name), run_scenario(name));
 }
 
-void check_parallel_scenario(const std::string& name) {
-    check_against(name, "-PAR", golden_parallel_for(name),
-                  run_scenario(name, {.scheduler = "auction-par"}));
-}
-
-// The solver-level determinism contract observed end-to-end: a full emulator
-// run under auction-par hashes identically at every thread count, so prices
-// and schedules never depend on the partitioning. Self-comparing, hence
-// enforced on every toolchain (no golden constants involved).
-void check_thread_invariance(const std::string& name, warm_start_mode warm_start,
-                             std::size_t max_slots = 0) {
-    const run_hashes ref = run_scenario(
-        name, {.scheduler = "auction-par", .solver_threads = 1,
-               .warm_start = warm_start, .max_slots = max_slots});
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-        const run_hashes h = run_scenario(
-            name, {.scheduler = "auction-par", .solver_threads = threads,
-                   .warm_start = warm_start, .max_slots = max_slots});
-        EXPECT_EQ(h.neighbors, ref.neighbors) << name << " @" << threads;
-        EXPECT_EQ(h.metrics, ref.metrics)
-            << name << " @" << threads << ": schedules depend on thread count";
-        EXPECT_EQ(h.final_state, ref.final_state) << name << " @" << threads;
-    }
-}
-
 // Constants: vod::golden_runs (tests/pipeline_golden.h), captured from
 // the pre-refactor emulator. Every run here goes through the incremental
 // (delta) problem build, the emulator's only builder, so these goldens also
@@ -148,45 +121,6 @@ TEST(slot_golden, metro_5k_matches_pre_refactor_emulator) {
 
 TEST(slot_golden, flash_crowd_10k_matches_pre_refactor_emulator) {
     check_scenario("flash_crowd_10k");
-}
-
-// The Jacobi auction's own fixed point, pinned per scenario (constants:
-// vod::golden_parallel_runs). A drift here means the parallel bid/merge
-// pipeline changed behavior, not just speed.
-TEST(slot_golden, economy_smoke_parallel_auction_pinned) {
-    check_parallel_scenario("economy_smoke");
-}
-
-TEST(slot_golden, metro_5k_parallel_auction_pinned) {
-    check_parallel_scenario("metro_5k");
-}
-
-TEST(slot_golden, flash_crowd_10k_parallel_auction_pinned) {
-    check_parallel_scenario("flash_crowd_10k");
-}
-
-TEST(slot_golden, parallel_auction_thread_invariant_economy_smoke) {
-    check_thread_invariance("economy_smoke", warm_start_mode::off);
-}
-
-// Warm-started prices carry across rounds, so any cross-thread price
-// divergence would cascade into every later slot's schedule — this variant
-// pins final prices, not just schedules.
-TEST(slot_golden, parallel_auction_thread_invariant_economy_smoke_warm) {
-    check_thread_invariance("economy_smoke", warm_start_mode::rounds);
-}
-
-// Every metro slot runs at full 5 000-peer scale, so a 4-slot prefix at each
-// thread count already drives the bid/merge path through real contention;
-// the full-horizon fixed point is pinned by the golden above at 1 thread.
-TEST(slot_golden, parallel_auction_thread_invariant_metro_5k) {
-    check_thread_invariance("metro_5k", warm_start_mode::off, 4);
-}
-
-// The crowd builds over the horizon; 150 slots (~6 000 peers by the cut)
-// keeps four full-scale runs affordable on the CI box.
-TEST(slot_golden, parallel_auction_thread_invariant_flash_crowd_10k) {
-    check_thread_invariance("flash_crowd_10k", warm_start_mode::off, 150);
 }
 
 // Telemetry may observe, never steer: the goldens must hold with the full
@@ -205,19 +139,11 @@ TEST(slot_golden, telemetry_on_and_off_schedules_identical) {
 // Cross-slot warm starts intentionally change schedules (final prices seed
 // the next slot, and under ε-scaling a converged re-run collapses the
 // ladder to the target ε), so they are pinned by their own constants
-// (vod::golden_warm_slots_economy{,_par}) rather than the cold-start goldens.
+// (vod::golden_warm_slots_economy) rather than the cold-start goldens.
 TEST(slot_golden, economy_smoke_warm_slots_pinned) {
     check_against("economy_smoke", "-WARMSLOTS", &golden_warm_slots_economy,
                   run_scenario("economy_smoke",
                                {.warm_start = warm_start_mode::slots}));
-}
-
-TEST(slot_golden, economy_smoke_warm_slots_parallel_pinned) {
-    check_against("economy_smoke", "-WARMSLOTS-PAR",
-                  &golden_warm_slots_economy_par,
-                  run_scenario("economy_smoke",
-                               {.scheduler = "auction-par",
-                                .warm_start = warm_start_mode::slots}));
 }
 
 TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {

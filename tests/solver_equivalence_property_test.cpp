@@ -1,4 +1,4 @@
-// Property-based equivalence of the PR's two new solvers against the
+// Property-based checks of the exact scheduler and the auction against
 // established references, over randomized instance corpora:
 //
 //  * core's exact scheduler (the transportation simplex) vs opt::solve_exact
@@ -7,18 +7,14 @@
 //    gap as the optimality certificate. The corpus leans on degenerate
 //    shapes: 1–64 uploaders, zero-capacity uploaders, empty candidate rows,
 //    duplicate (request, uploader) edges.
-//  * parallel (Jacobi) auction vs the Theorem 1 obligations — feasibility,
-//    welfare within (#assigned)·ε of exact, dual feasibility and full
-//    ε-complementary slackness at termination (unscaled), and bit-identical
-//    schedules/prices/counters across thread counts.
-//  * ε-scaling ladders (serial and parallel) — at EVERY phase boundary the
+//  * the auction's ε-scaling ladder — at EVERY phase boundary the
 //    recorded snapshot satisfies the in-phase ε-CS invariants: assigned
 //    requests hold a margin within ε of their best and ≥ −ε, exhausted
 //    requests have no positive margin left, and any price above its phase-
 //    initial value certifies a saturated uploader.
 //  * the profitable-candidate contract — stripping every candidate with
-//    v − w < 0 leaves both auctions' outcomes bit-identical (the emulator
-//    builds their rounds that way), while simple-locality's schedule moves.
+//    v − w < 0 leaves the auction's outcome bit-identical (the emulator
+//    builds its rounds that way), while simple-locality's schedule moves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +27,6 @@
 #include "baseline/simple_locality.h"
 #include "core/auction.h"
 #include "core/exact.h"
-#include "core/parallel_auction.h"
 #include "core/welfare.h"
 #include "opt/duality.h"
 #include "opt/transportation.h"
@@ -181,80 +176,6 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
     }
 }
 
-TEST(parallel_auction_properties, final_state_satisfies_epsilon_cs) {
-    const double epsilon = 1e-3;
-    exact_scheduler exact;
-    for (int family = 0; family < 4; ++family) {
-        for (std::uint64_t seed = 0; seed < 8; ++seed) {
-            auto params = family_params(family);
-            params.seed = seed * 977 + 13;
-            auto problem = workload::make_uniform_instance(params);
-
-            // Unscaled: the strict Theorem 1 obligations apply verbatim.
-            parallel_auction_solver solver({.bidding = {bid_policy::epsilon, epsilon},
-                                            .epsilon_scaling = false,
-                                            .adaptive_scaling = false});
-            auto result = solver.run(problem);
-            ASSERT_TRUE(result.converged);
-            EXPECT_TRUE(schedule_feasible(problem, result.sched));
-
-            auto best = exact.run(problem);
-            auto stats = compute_stats(problem, result.sched);
-            EXPECT_LE(stats.welfare, best.welfare + tol);
-            EXPECT_GE(stats.welfare,
-                      best.welfare - static_cast<double>(stats.assigned) * epsilon -
-                          tol)
-                << "Jacobi ε-auction must stay within n·ε of optimal";
-
-            auto instance = problem.to_transportation();
-            EXPECT_TRUE(
-                opt::dual_feasible(instance, result.prices, result.request_utility));
-
-            opt::transportation_solution as_solution;
-            as_solution.sink_price = result.prices;
-            as_solution.source_utility = result.request_utility;
-            as_solution.edge_of_source.assign(problem.num_requests(), opt::unassigned);
-            auto origins = problem.edge_origins();
-            for (std::size_t e = 0; e < origins.size(); ++e) {
-                auto [r, cand] = origins[e];
-                if (result.sched.choice[r] == static_cast<std::ptrdiff_t>(cand))
-                    as_solution.edge_of_source[r] = static_cast<std::ptrdiff_t>(e);
-            }
-            auto violations = opt::complementary_slackness_violations(
-                instance, as_solution, epsilon);
-            EXPECT_TRUE(violations.empty()) << violations.front();
-        }
-    }
-}
-
-// The determinism contract: schedules, prices and every diagnostic counter
-// are identical at any thread count. grain = 1 forces the pool path to split
-// even tiny instances, so 2/4 threads genuinely race the merge.
-TEST(parallel_auction_properties, bit_identical_across_thread_counts) {
-    for (std::uint64_t seed = 0; seed < 30; ++seed) {
-        auto problem = make_degenerate_instance(seed * 2654435761ull + 101);
-
-        std::vector<auction_result> results;
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            parallel_auction_solver solver({.bidding = {bid_policy::epsilon, 1e-3},
-                                            .num_threads = threads,
-                                            .grain = 1});
-            results.push_back(solver.run(problem));
-        }
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            EXPECT_EQ(results[i].sched.choice, results[0].sched.choice)
-                << "seed " << seed << " threads run " << i;
-            ASSERT_EQ(results[i].prices.size(), results[0].prices.size());
-            for (std::size_t u = 0; u < results[0].prices.size(); ++u)
-                EXPECT_EQ(results[i].prices[u], results[0].prices[u])
-                    << "seed " << seed << " uploader " << u;
-            EXPECT_EQ(results[i].bids_submitted, results[0].bids_submitted);
-            EXPECT_EQ(results[i].evictions, results[0].evictions);
-            EXPECT_EQ(results[i].abstentions, results[0].abstentions);
-        }
-    }
-}
-
 // In-phase ε-CS invariants a snapshot must satisfy with the phase's own ε and
 // the phase's initial prices (phase 0 starts cold; later phases start from
 // the previous snapshot after the spare-capacity repair).
@@ -304,7 +225,7 @@ void check_phase_boundary(const problem_view& problem,
 }
 
 // Initial prices of phase k+1 = snapshot k's prices after the spare-capacity
-// repair (mirrors the solvers' inter-phase step).
+// repair (mirrors the solver's inter-phase step).
 std::vector<double> repaired_prices(const problem_view& problem,
                                     const auction_phase_snapshot& snap) {
     const std::size_t nu = problem.num_uploaders();
@@ -319,8 +240,7 @@ std::vector<double> repaired_prices(const problem_view& problem,
     return prices;
 }
 
-template <typename Solver>
-void run_boundary_property(Solver& solver) {
+void run_boundary_property(auction_solver& solver) {
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
         auto params = family_params(1);  // scarce supply forces a real ladder
         params.seed = seed * 131 + 7;
@@ -347,25 +267,15 @@ TEST(epsilon_scaling_properties, serial_phase_boundaries_satisfy_epsilon_cs) {
     run_boundary_property(solver);
 }
 
-TEST(epsilon_scaling_properties, parallel_phase_boundaries_satisfy_epsilon_cs) {
-    parallel_auction_solver solver({.bidding = {bid_policy::epsilon, 1e-3},
-                                    .epsilon_scaling = true,
-                                    .adaptive_scaling = false,
-                                    .scaling_initial_epsilon = 2.0,
-                                    .scaling_factor = 4.0,
-                                    .record_phase_trace = true,
-                                    .num_threads = 2,
-                                    .grain = 1});
-    run_boundary_property(solver);
-}
-
 TEST(epsilon_scaling_properties, adaptive_ladder_tracks_contention) {
     // Supply-rich: the adaptive ladder collapses to a single target-ε phase.
     auto rich = family_params(2);
     rich.seed = 5;
     auto rich_problem = workload::make_uniform_instance(rich);
-    parallel_auction_solver adaptive({.bidding = {bid_policy::epsilon, 1e-3},
-                                      .record_phase_trace = true});
+    auction_solver adaptive({.bidding = {bid_policy::epsilon, 1e-3},
+                             .epsilon_scaling = true,
+                             .adaptive_scaling = true,
+                             .record_phase_trace = true});
     auto rich_result = adaptive.run(rich_problem);
     EXPECT_EQ(rich_result.phase_trace.size(), 1u);
     EXPECT_DOUBLE_EQ(rich_result.phase_trace[0].epsilon, 1e-3);
@@ -379,7 +289,7 @@ TEST(epsilon_scaling_properties, adaptive_ladder_tracks_contention) {
     EXPECT_GT(scarce_result.phase_trace.front().epsilon, 1e-3);
 }
 
-// The emulator builds the auctions' rounds from profitable candidates only
+// The emulator builds the auction's rounds from profitable candidates only
 // (w ≤ v). This strips every candidate with v − w < 0 from an instance,
 // keeping every request row (possibly empty) and the order of the rest.
 scheduling_problem strip_unprofitable(const problem_view& problem) {
@@ -432,7 +342,7 @@ std::vector<double> warm_prices(std::size_t nu, std::uint64_t seed) {
 // A candidate with v − w < 0 has margin (v − w) − λ < 0 for every λ ≥ 0, so
 // it never wins a bid, and the outside option already floors φ̂ at 0; the
 // other candidates keep their order, so the strict-> tie-breaks pick the
-// same uploader. Both auctions must therefore produce the same uploaders,
+// same uploader. The auction must therefore produce the same uploaders,
 // bit-identical prices and the same counters, cold and warm-started.
 TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_identical) {
     const std::vector<std::pair<std::string, auction_options>> serial = {
@@ -468,26 +378,6 @@ TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_ide
                                         " seed " + std::to_string(seed));
             }
         }
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            for (const bool warm_start : {false, true}) {
-                const parallel_auction_options options{
-                    .bidding = {bid_policy::epsilon, 0.05},
-                    .epsilon_scaling = true,
-                    .adaptive_scaling = true,
-                    .num_threads = threads,
-                    .grain = 1};
-                parallel_auction_solver on_full(options);
-                parallel_auction_solver on_stripped(options);
-                const auto a = warm_start ? on_full.run(problem, warm)
-                                          : on_full.run(problem);
-                const auto b = warm_start ? on_stripped.run(stripped, warm)
-                                          : on_stripped.run(stripped);
-                expect_same_outcome(problem, a, stripped, b,
-                                    "auction-par t" + std::to_string(threads) +
-                                        (warm_start ? " warm" : " cold") + " seed " +
-                                        std::to_string(seed));
-            }
-        }
     }
     EXPECT_GT(stripped_candidates, 0u) << "the corpus must hold unprofitable candidates";
     EXPECT_GT(emptied_rows, 0u) << "the corpus must empty some rows entirely";
@@ -495,7 +385,7 @@ TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_ide
 
 // Negative control: simple-locality knocks at the cheapest candidate whatever
 // its margin, so stripping changes its schedule — which is why the emulator
-// keeps full lists for every scheduler but the two auctions.
+// keeps full lists for every scheduler but the auction.
 TEST(profitable_candidates, stripping_changes_the_locality_schedule) {
     baseline::simple_locality_scheduler locality;
     std::size_t changed = 0;
