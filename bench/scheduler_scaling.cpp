@@ -7,11 +7,8 @@
 // Poisson arrivals over the horizon) and ISP count shape an ISP-structured
 // instance of the per-round scheduling problem, which every registered
 // scheduler then solves repeatedly with long-lived workspaces — the emulator's
-// deployment pattern. The synchronous auction additionally gets a warm-start
-// row ("auction-warm": each solve re-seeded from the previous solve's λ,
-// Sec. IV-C's intra-slot price carrying). The exact scheduler (a network
-// simplex) runs on every row, so each scenario's welfare column has its
-// optimum to compare against.
+// deployment pattern. The exact scheduler (a network simplex) runs on every
+// row, so each scenario's welfare column has its optimum to compare against.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -23,7 +20,6 @@
 #include "bench_common.h"
 
 #include "baseline/registry.h"
-#include "core/auction.h"
 #include "core/scheduler_registry.h"
 #include "core/welfare.h"
 #include "metrics/process_stats.h"
@@ -88,35 +84,19 @@ int main() {
         const double budget_seconds = full ? 2.0 : 0.2;
 
         // The registry is enumerated dynamically — registering a scheduler
-        // adds its rows here with no bench edits. One synthetic variant rides
-        // along: the warm-started auction.
-        std::vector<std::string> names = schedulers.names();
-        names.push_back("auction-warm");
-        for (const auto& name : names) {
-            const bool warm = name == "auction-warm";
+        // adds its rows here with no bench edits.
+        for (const auto& name : schedulers.names()) {
             core::scheduler_params sp;
             sp.seed = bench::bench_seed();
-            // The warm row times run(): like the emulator's warm rounds and
-            // every other row's solve(), it skips dual recovery.
-            if (warm) sp.auction.compute_request_utilities = false;
-            auto solver = schedulers.make(warm ? "auction" : name, sp);
-            auto* auction = dynamic_cast<core::auction_solver*>(solver.get());
+            auto solver = schedulers.make(name, sp);
 
             // Warm-up solve (first-touch allocations land here, the steady
             // state is what the emulator sees round after round).
             using clock = std::chrono::steady_clock;
-            std::vector<double> prices;
-            core::schedule last;
             auto warmup_start = clock::now();
-            if (warm) {
-                auto r = auction->run(inst.problem);
-                prices = std::move(r.prices);
-                last = std::move(r.sched);
-            } else {
-                solver->reseed(sp.seed);  // keeps seeded schedulers' welfare
-                                          // independent of the rep count
-                last = solver->solve(inst.problem);
-            }
+            solver->reseed(sp.seed);  // keeps seeded schedulers' welfare
+                                      // independent of the rep count
+            core::schedule last = solver->solve(inst.problem);
             double est_seconds = std::max(
                 1e-7, std::chrono::duration<double>(clock::now() - warmup_start).count());
 
@@ -132,14 +112,8 @@ int main() {
             for (int batch = 0; batch < kBatches; ++batch) {
                 auto t0 = clock::now();
                 for (std::size_t i = 0; i < batch_reps; ++i) {
-                    if (warm) {
-                        auto r = auction->run(inst.problem, prices);
-                        prices = std::move(r.prices);
-                        last = std::move(r.sched);
-                    } else {
-                        solver->reseed(sp.seed);
-                        last = solver->solve(inst.problem);
-                    }
+                    solver->reseed(sp.seed);
+                    last = solver->solve(inst.problem);
                 }
                 double batch_seconds =
                     std::chrono::duration<double>(clock::now() - t0).count();
@@ -174,8 +148,6 @@ int main() {
 
             if (scenario_name == "metro_5k" && name == "auction")
                 rep.add_scalar("auction_metro_5k_solves_per_s", solves_per_s);
-            if (scenario_name == "metro_5k" && name == "auction-warm")
-                rep.add_scalar("auction_warm_metro_5k_solves_per_s", solves_per_s);
             if (scenario_name == "metro_20k" && name == "auction")
                 auction_20k_rate = solves_per_s;
             // "exact" is the transportation simplex; the key keeps the

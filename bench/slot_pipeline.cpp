@@ -1,7 +1,7 @@
 // slot_pipeline — per-phase timing of the emulator's slot data path, the
 // telemetry overhead contract, and the delta build's identity check.
 //
-// Runs one scenario end to end in three arms (four runs):
+// Runs one scenario end to end in two arms (three runs):
 //   overhead arm — pass 1 (telemetry off): no sink, no spans, so the slot
 //     loop performs zero timestamp syscalls and wall time brackets the whole
 //     loop; pass 2 (telemetry on): span recorder enabled, counters sampled,
@@ -12,11 +12,7 @@
 //   identity arm — pass 3 (delta_shadow_check): every round's incremental
 //     build is compared bit for bit with the reference full rebuild, and the
 //     run must hash identical to pass 1 (`delta_identical`; exit 1 on
-//     divergence, any toolchain);
-//   warm arm — pass 4 (warm_start = slots): prices carried across slots
-//     with the collapsed ε ladder. Warm starts change schedules on purpose;
-//     on economy_smoke the run is checked against its own golden
-//     (vod::golden_warm_slots_economy).
+//     divergence, any toolchain).
 //
 // The per-phase table comes from pass 2's spans, reported next to the
 // *pre-refactor* measurement of the same scenario captured before the
@@ -150,13 +146,13 @@ int main(int argc, char** argv) {
 
     // Pass 1: telemetry off. The slot loop reads no clock; only the bracket
     // around the whole loop is timed.
-    std::printf("pass 1/4: telemetry off...\n");
+    std::printf("pass 1/3: telemetry off...\n");
     const pass_result off = run_pass(opts, num_slots);
 
     // Pass 2: telemetry on — spans + counters + per-slot JSONL into memory.
     // Runs second so allocator warm-up (if any) favors neither direction of
     // the overhead comparison's numerator.
-    std::printf("pass 2/4: telemetry on (spans + counters + JSONL)...\n");
+    std::printf("pass 2/3: telemetry on (spans + counters + JSONL)...\n");
     vod::emulator_options on_opts = opts;
     std::ostringstream telemetry_out;
     obs::jsonl_sink sink(telemetry_out);
@@ -190,7 +186,7 @@ int main(int argc, char** argv) {
 
     // Pass 3: the identity arm. The shadow check throws on the first round
     // whose incremental build differs from the reference rebuild.
-    std::printf("pass 3/4: delta build shadow-checked against the full rebuild...\n");
+    std::printf("pass 3/3: delta build shadow-checked against the full rebuild...\n");
     vod::emulator_options shadow_opts = opts;
     shadow_opts.delta_shadow_check = true;
     pass_result shadow;
@@ -203,12 +199,6 @@ int main(int argc, char** argv) {
     }
     const bool delta_identical = shadow_ok && shadow.h_metrics == off.h_metrics &&
                                  shadow.h_neighbors == off.h_neighbors;
-
-    // Pass 4: the warm arm — cross-slot price carry-over.
-    std::printf("pass 4/4: warm_start = slots...\n");
-    vod::emulator_options warm_opts = opts;
-    warm_opts.warm_start = vod::warm_start_mode::slots;
-    const pass_result warm = run_pass(warm_opts, num_slots);
 
     metrics::json_report rep("slot_pipeline");
     rep.add_scalar("scenario", scenario);
@@ -287,10 +277,8 @@ int main(int argc, char** argv) {
 
     rep.add_scalar("delta_identical", delta_identical);
     rep.add_scalar("slot_time_shadow_s", shadow.wall_seconds);
-    rep.add_scalar("slot_time_warm_s", warm.wall_seconds);
     std::printf("\ndelta build vs full rebuild (shadow-checked, %.3f s): %s\n",
                 shadow.wall_seconds, delta_identical ? "IDENTICAL" : "DIVERGED");
-    std::printf("warm_start = slots: %.3f s\n", warm.wall_seconds);
 
     // The counter registry (cache behavior, tracker maintenance, solver
     // work, delta-build rows) of the telemetry-on pass.
@@ -316,22 +304,14 @@ int main(int argc, char** argv) {
     bool golden_known = golden != nullptr;
     bool golden_ok = golden_known && on.h_metrics == golden->metrics &&
                      on.h_neighbors == golden->neighbors;
-    const vod::golden_run_hashes& warm_golden = vod::golden_warm_slots_economy;
-    const bool warm_golden_known = scenario == warm_golden.scenario;
-    const bool warm_golden_ok = warm_golden_known &&
-                                warm.h_metrics == warm_golden.metrics &&
-                                warm.h_neighbors == warm_golden.neighbors;
     char hash_hex[32];
     std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, on.h_metrics);
     rep.add_scalar("metrics_hash", hash_hex);
     std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, on.h_neighbors);
     rep.add_scalar("neighbors_hash", hash_hex);
-    std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, warm.h_metrics);
-    rep.add_scalar("warm_metrics_hash", hash_hex);
     rep.add_scalar("telemetry_schedule_identical", passes_agree);
     rep.add_scalar("golden_known", golden_known);
     rep.add_scalar("golden_ok", golden_ok);
-    if (warm_golden_known) rep.add_scalar("warm_golden_ok", warm_golden_ok);
 
     std::printf("\nnon-solve slot time: %.3f s (pre %.3f s)\n", post.non_solve(),
                 base != nullptr ? base->phases.non_solve() : 0.0);
@@ -340,9 +320,6 @@ int main(int argc, char** argv) {
     if (golden_known)
         std::printf("schedules %s pre-refactor golden\n",
                     golden_ok ? "MATCH" : "DIVERGED from");
-    if (warm_golden_known)
-        std::printf("warm schedules %s warm-slots golden\n",
-                    warm_golden_ok ? "MATCH" : "DIVERGED from");
 
     bench::write_artifact("slot_pipeline", rep);
 
@@ -364,12 +341,12 @@ int main(int argc, char** argv) {
     // toolchain family they were captured with — mirroring
     // tests/slot_golden_test.cpp.
     constexpr bool golden_enforced = vod::golden_toolchain;
-    if ((golden_known && !golden_ok) || (warm_golden_known && !warm_golden_ok)) {
+    if (golden_known && !golden_ok) {
         std::fprintf(stderr,
                      "%s: run diverged from its golden (metrics %016" PRIx64
-                     " neighbors %016" PRIx64 ", warm metrics %016" PRIx64 ")\n",
+                     " neighbors %016" PRIx64 ")\n",
                      golden_enforced ? "error" : "note (unenforced toolchain)",
-                     on.h_metrics, on.h_neighbors, warm.h_metrics);
+                     on.h_metrics, on.h_neighbors);
         if (golden_enforced) return 1;
     }
     return 0;

@@ -18,7 +18,7 @@
 //   --list           print registered schedulers, scenarios and fleets, exit
 //   --fleet NAME     run a registered multi-swarm fleet on the engine instead
 //                    of a single swarm; prints the merged per-slot metrics.
-//                    --algo/--rounds/--epsilon/--warm-rounds apply per swarm;
+//                    --algo/--rounds/--epsilon apply per swarm;
 //                    --seed sets the fleet seed (per-swarm seeds derive from
 //                    it); --csv writes the merged fleet-level series; the
 //                    other scenario flags do not apply
@@ -43,7 +43,6 @@
 //   --seed N         master RNG seed                           [42]
 //   --rounds N       bidding rounds per slot                   [5]
 //   --epsilon E      auction ε                                 [0.05]
-//   --warm-rounds    warm-start auction prices across a slot's rounds
 //   --csv FILE       also write per-slot series as CSV
 //   --isp-economy    enable the ISP economy (src/isp/): peering graph +
 //                    per-ISP-pair traffic ledger + transit billing (+ the
@@ -300,7 +299,6 @@ int main(int argc, char** argv) {
         else if (flag == "--swarms") swarms_override = count();
         else if (flag == "--rounds") opts.bid_rounds_per_slot = count();
         else if (flag == "--epsilon") opts.auction.bidding.epsilon = real();
-        else if (flag == "--warm-rounds") opts.warm_start = vod::warm_start_mode::rounds;
         else if (flag == "--csv") csv_path = next();
         else if (flag == "--telemetry-out") telemetry_path = next();
         else if (flag == "--telemetry-every") telemetry_every = count();

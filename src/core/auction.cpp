@@ -1,7 +1,5 @@
 #include "core/auction.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
 
 namespace p2pcd::core {
@@ -11,31 +9,35 @@ auction_solver::auction_solver(auction_options options) : options_(options) {
     expects(options.bidding.policy == bid_policy::paper_literal ||
                 options.bidding.epsilon > 0.0,
             "the epsilon policy requires a positive epsilon");
-    if (options.epsilon_scaling) {
-        expects(options.bidding.policy == bid_policy::epsilon,
-                "epsilon scaling requires the epsilon bid policy");
-        expects(options.scaling_factor > 1.0, "scaling factor must exceed 1");
-        expects(options.scaling_initial_epsilon >= options.bidding.epsilon,
-                "initial epsilon must not be below the final epsilon");
-    }
 }
 
-// One complete Gauss-Seidel auction at a fixed ε.
-void auction_solver::run_phase(const problem_view& problem, double epsilon,
-                               std::vector<double>& prices, auction_result& result) {
+auction_result auction_solver::run(const problem_view& problem) {
+    auction_result result = run_auction(problem);
+    if (options_.compute_request_utilities)
+        result.request_utility = derive_request_utilities(problem, result.prices);
+    return result;
+}
+
+schedule auction_solver::solve(const problem_view& problem) {
+    return run_auction(problem).sched;
+}
+
+// One complete Gauss-Seidel auction at a fixed ε, from all-zero prices.
+auction_result auction_solver::run_auction(const problem_view& problem) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
     const auto uploaders = problem.all_uploaders();
 
-    bidder_options bidding = options_.bidding;
-    bidding.epsilon = epsilon;
-
+    // λ starts at 0 everywhere; zero-capacity uploaders keep it
+    // (derive_request_utilities lifts them when duals are wanted).
+    auction_result result;
+    result.prices.assign(nu, 0.0);
     result.sched.choice.assign(nr, no_candidate);
 
     sellers_.resize(nu);
     price_cache_.resize(nu);
     for (std::size_t u = 0; u < nu; ++u) {
-        sellers_[u].reset(uploaders[u].capacity, prices[u]);
+        sellers_[u].reset(uploaders[u].capacity);
         price_cache_[u] = sellers_[u].price();  // +inf for zero capacity
     }
 
@@ -59,6 +61,8 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     const double* cand_costs = problem.cand_costs().data();
     const request_info* all_requests = problem.all_requests().data();
     const double* price_cache = price_cache_.data();
+    // A local copy: the loop's price_cache_ stores could alias the member.
+    const bidder_options bidding = options_.bidding;
 
     while (true) {
         std::size_t r;
@@ -128,106 +132,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     result.parked_at_termination = parked_.size();
 
     for (std::size_t u = 0; u < nu; ++u)
-        if (uploaders[u].capacity > 0) prices[u] = sellers_[u].price();
-}
-
-std::vector<double> epsilon_schedule(const problem_view& problem, double target,
-                                     double initial, double factor, bool scaling,
-                                     bool adaptive) {
-    std::vector<double> schedule;
-    if (scaling) {
-        double eps = initial;
-        if (adaptive) {
-            // Supply-rich instances (every request could be served) converge
-            // in ~one sweep; a coarse opening phase would only add passes.
-            std::int64_t total_capacity = 0;
-            for (const auto& u : problem.all_uploaders()) total_capacity += u.capacity;
-            if (total_capacity >= static_cast<std::int64_t>(problem.num_requests())) {
-                eps = target;
-            } else {
-                double max_net = 0.0;
-                const auto requests = problem.all_requests();
-                for (std::size_t r = 0; r < problem.num_requests(); ++r)
-                    for (const auto& c : problem.candidates(r))
-                        max_net = std::max(max_net, requests[r].valuation - c.cost);
-                eps = std::max(target, max_net / factor);
-            }
-        }
-        while (eps > target) {
-            schedule.push_back(eps);
-            eps /= factor;
-        }
-    }
-    schedule.push_back(target);
-    return schedule;
-}
-
-auction_result auction_solver::run(const problem_view& problem,
-                                   std::span<const double> initial_prices) {
-    auction_result result = descend(problem, initial_prices);
-    if (options_.compute_request_utilities)
-        result.request_utility = derive_request_utilities(problem, result.prices);
-    return result;
-}
-
-schedule auction_solver::solve(const problem_view& problem) {
-    return descend(problem, {}).sched;
-}
-
-auction_result auction_solver::descend(const problem_view& problem,
-                                       std::span<const double> initial_prices) {
-    const std::size_t nu = problem.num_uploaders();
-    const std::size_t nr = problem.num_requests();
-    expects(initial_prices.empty() || initial_prices.size() == nu,
-            "initial price vector must cover every uploader");
-
-    // The ε schedule: a single phase normally; a geometric descent from the
-    // initial ε down to the target when scaling is on. A warm start from a
-    // converged solve may collapse the ladder to the target rung outright —
-    // decided before epsilon_schedule so the adaptive max(v−w) instance
-    // sweep is skipped along with the coarse phases.
-    const bool early_exit = options_.warm_start_early_exit && options_.epsilon_scaling &&
-                            !initial_prices.empty() && last_run_converged_;
-    const std::vector<double> schedule =
-        early_exit ? std::vector<double>{options_.bidding.epsilon}
-                   : epsilon_schedule(problem, options_.bidding.epsilon,
-                                      options_.scaling_initial_epsilon,
-                                      options_.scaling_factor, options_.epsilon_scaling,
-                                      options_.adaptive_scaling);
-
-    const std::uint32_t* offsets = problem.offsets().data();
-    const std::uint32_t* cand_up = problem.cand_uploaders().data();
-    auction_result result;
-    std::vector<double> prices(nu, 0.0);
-    if (!initial_prices.empty())
-        std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
-    for (std::size_t k = 0; k < schedule.size(); ++k) {
-        // Counters accumulate across phases; the schedule of the last phase
-        // is the answer.
-        run_phase(problem, schedule[k], prices, result);
-        ++result.phases_run;
-        if (options_.record_phase_trace)
-            result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
-
-        // Between phases, repair complementary slackness condition 1: a
-        // seller that ended the phase with spare capacity cannot honestly
-        // quote a positive price, so its carried-over price falls back to 0.
-        // Without this, coarse-phase prices strand cheap capacity for good.
-        if (k + 1 < schedule.size()) {
-            used_scratch_.assign(nu, 0);
-            for (std::size_t r = 0; r < nr; ++r) {
-                std::ptrdiff_t c = result.sched.choice[r];
-                if (c != no_candidate)
-                    ++used_scratch_[cand_up[offsets[r] + static_cast<std::size_t>(c)]];
-            }
-            for (std::size_t u = 0; u < nu; ++u)
-                if (used_scratch_[u] < problem.uploader(u).capacity) prices[u] = 0.0;
-        }
-    }
-
-    result.prices = std::move(prices);
-    result.early_exited = early_exit;
-    last_run_converged_ = result.converged;
+        if (uploaders[u].capacity > 0) result.prices[u] = sellers_[u].price();
     return result;
 }
 
@@ -273,15 +178,13 @@ void auction_solver::shed_memory() {
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
     std::vector<double>().swap(price_cache_);
-    std::vector<std::int64_t>().swap(used_scratch_);
 }
 
 std::size_t auction_solver::workspace_bytes() const {
     std::size_t bytes = sellers_.capacity() * sizeof(auctioneer) +
                         queue_.capacity() * sizeof(std::size_t) +
                         parked_.capacity() * sizeof(parked_entry) +
-                        price_cache_.capacity() * sizeof(double) +
-                        used_scratch_.capacity() * sizeof(std::int64_t);
+                        price_cache_.capacity() * sizeof(double);
     for (const auto& s : sellers_) bytes += s.heap_bytes();
     return bytes;
 }

@@ -7,14 +7,15 @@
 namespace p2pcd::core {
 
 auctioneer::auctioneer(std::int32_t capacity, double initial_price) {
-    reset(capacity, initial_price);
+    expects(initial_price >= 0.0, "initial price must be non-negative");
+    reset(capacity);
+    price_ = initial_price;
 }
 
-void auctioneer::reset(std::int32_t capacity, double initial_price) {
+void auctioneer::reset(std::int32_t capacity) {
     expects(capacity >= 0, "auctioneer capacity must be non-negative");
-    expects(initial_price >= 0.0, "initial price must be non-negative");
     capacity_ = capacity;
-    price_ = initial_price;
+    price_ = 0.0;
     next_seq_ = 0;
     set_.clear();
 }

@@ -27,13 +27,14 @@ public:
     // A default-constructed auctioneer sells nothing until reset().
     auctioneer() = default;
 
-    // `initial_price` > 0 is used by ε-scaling re-runs and intra-slot
-    // warm starts, which seed λ_u from a previous phase's/round's price.
+    // `initial_price` > 0 is used only by the message-level runtime's
+    // within-slot price carry (vod::runtime_options::initial_prices), which
+    // seeds λ_u from the slot's previous round.
     explicit auctioneer(std::int32_t capacity, double initial_price = 0.0);
 
-    // Re-arms for a new auction: empties the assignment set (keeping its
-    // storage) and installs the new capacity and starting price.
-    void reset(std::int32_t capacity, double initial_price = 0.0);
+    // Re-arms for a new cold auction: empties the assignment set (keeping
+    // its storage), installs the new capacity and sets λ_u back to 0.
+    void reset(std::int32_t capacity);
 
     struct outcome {
         bool accepted = false;

@@ -25,7 +25,7 @@
 namespace p2pcd::core {
 
 struct scheduler_params {
-    // "auction": full option set (ε policy, scaling, iteration budget).
+    // "auction": full option set (ε policy, iteration budget, dual recovery).
     auction_options auction{.bidding = {bid_policy::epsilon, 0.05}};
     // "simple-locality": retry budget ("as much as possible" knob).
     std::size_t locality_max_rounds = 3;

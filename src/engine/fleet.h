@@ -55,7 +55,7 @@ struct fleet_options {
     // Per-swarm emulator knobs. `swarm_options.config` and
     // `swarm_options.scheduler` are overwritten per shard from the expanded
     // specs / `config.scheduler`; everything else (bid rounds, auction ε,
-    // warm-start, custom scheduler registry) applies to every swarm.
+    // custom scheduler registry) applies to every swarm.
     vod::emulator_options swarm_options;
 
     // Fleet-level telemetry. The fleet emits the merged "fleet_slot" stream

@@ -42,9 +42,9 @@ struct runtime_options {
     // pick the most contended "representative peer" after the fact).
     bool record_price_log = false;
     // Warm-start prices per uploader (empty = all zero). The emulator threads
-    // prices through the bidding rounds of one slot: the slot stays the
-    // price cycle of Sec. IV-C while urgency-driven re-bidding happens
-    // within it.
+    // prices through the bidding rounds of one distributed slot: the slot
+    // stays the price cycle of Sec. IV-C while urgency-driven re-bidding
+    // happens within it.
     std::vector<double> initial_prices;
 };
 

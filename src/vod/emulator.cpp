@@ -23,6 +23,15 @@ double share(std::uint64_t part, std::uint64_t whole) {
     return whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole);
 }
 
+// ⌈remaining / rounds_left⌉, the round's even share of what is left of an
+// uploader's slot budget. The rounding term is added in 64 bits: a capacity
+// within rounds_left − 1 of INT32_MAX would overflow it in 32. The share
+// never exceeds `remaining`, so it fits back.
+std::int32_t round_share(std::int32_t remaining, std::int32_t rounds_left) {
+    return static_cast<std::int32_t>(
+        (std::int64_t{remaining} + rounds_left - 1) / rounds_left);
+}
+
 }  // namespace
 
 slot_metrics& operator+=(slot_metrics& into, const slot_metrics& slot) {
@@ -123,8 +132,6 @@ emulator::emulator(emulator_options options)
     // Nothing in the slot loop reads request utilities: skip the auction's
     // dual-recovery sweep outright.
     params.auction.compute_request_utilities = false;
-    if (options_.warm_start == warm_start_mode::slots)
-        params.auction.warm_start_early_exit = true;
     params.locality_max_rounds = options_.locality.max_rounds;
     params.seed = options_.config.master_seed;
     scheduler_ = registry.make(options_.scheduler, params);
@@ -226,12 +233,10 @@ void emulator::register_metrics() {
     g_bytes_transit_ = counters_.add_gauge("ledger.bytes_transit");
     g_admission_queue_ = counters_.add_gauge("admission.queued");
     // Delta-build counters: rows (re)transposed or run on the reference
-    // path, rows maintained incrementally, slots whose solver collapsed its
-    // ε ladder. New names append after every v1 metric so the slot-record
-    // prefix is stable.
+    // path, and rows maintained incrementally. New names append after every
+    // v1 metric so the slot-record prefix is stable.
     c_delta_dirty_ = counters_.add_counter("delta.dirty_rows");
     c_delta_reused_ = counters_.add_counter("delta.reused_rows");
-    c_delta_early_exit_ = counters_.add_counter("delta.early_exit_slots");
     // Candidates emitted, and eligible holders left out because w > v.
     c_build_candidates_ = counters_.add_counter("build.candidates");
     c_build_pruned_ = counters_.add_counter("build.pruned_candidates");
@@ -921,26 +926,19 @@ core::schedule emulator::dispatch(double round_start, double duration,
     counters_.inc(c_solver_rounds_);
 
     if (auction_ != nullptr) {
-        // Thread the slot's λ through its bidding rounds (Sec. IV-C's price
-        // cycle): the distributed runtime always does, the centralized
-        // auction when warm_start is on — with warm_start_mode::slots the
-        // carried prices survive slot boundaries too (step() stops resetting
-        // them). Empty prices are the cold start.
-        const bool carry = distributed || options_.warm_start != warm_start_mode::off;
-        std::vector<double> initial;
-        if (carry) {
-            initial.resize(view.num_uploaders());
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                initial[u] = slot_prices[sp.uploader_row[u]];
-        }
         core::auction_result result;
         if (distributed) {
+            // The runtime threads the slot's λ through its bidding rounds
+            // (Sec. IV-C's price cycle); step() zeroes them at each slot
+            // start.
             runtime_options ro;
             ro.bidding = options_.auction.bidding;
             ro.duration = duration;
             ro.time_offset = round_start;
             ro.record_price_log = true;
-            ro.initial_prices = std::move(initial);
+            ro.initial_prices.resize(view.num_uploaders());
+            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
+                ro.initial_prices[u] = slot_prices[sp.uploader_row[u]];
             ro.latency = [this](peer_id a, peer_id b) {
                 return options_.latency_per_cost * costs_->cost(a, b);
             };
@@ -951,16 +949,16 @@ core::schedule emulator::dispatch(double round_start, double duration,
                     {view.uploader(ev.uploader).who, ev.time, ev.price});
             price_series_built_ = false;
             result = std::move(outcome.auction);
-        } else {
-            result = auction_->run(view, initial);
-            if (result.early_exited) slot_saw_early_exit_ = true;
-        }
-        if (carry)
             for (std::size_t u = 0; u < view.num_uploaders(); ++u)
                 slot_prices[sp.uploader_row[u]] = result.prices[u];
+        } else {
+            // Every centralized round is one cold auction at one fixed ε,
+            // so Theorem 1's n·ε bound holds on each.
+            result = auction_->run(view);
+            counters_.inc(c_solver_phases_);
+        }
         metrics.auction_bids += result.bids_submitted;
         counters_.inc(c_solver_bids_, result.bids_submitted);
-        counters_.inc(c_solver_phases_, result.phases_run);
         return std::move(result.sched);
     }
 
@@ -1087,16 +1085,9 @@ const slot_metrics& emulator::step() {
     const double round_length = options_.config.slot_seconds /
                                 static_cast<double>(rounds);
     const std::size_t rows = peers_.rows();
-    // Prices persist across the rounds of one slot and reset at slot
-    // boundaries — the slot is the bidding cycle of Sec. IV-C. With
-    // warm_start_mode::slots they carry over instead (rows are never
-    // recycled, so resize keeps every existing uploader's λ and zeroes only
-    // new rows).
-    if (options_.warm_start == warm_start_mode::slots)
-        slot_prices_.resize(rows, 0.0);
-    else
-        slot_prices_.assign(rows, 0.0);
-    slot_saw_early_exit_ = false;
+    // A distributed slot's prices persist across its rounds and reset at
+    // slot boundaries — the slot is the bidding cycle of Sec. IV-C.
+    slot_prices_.assign(rows, 0.0);
 
     remaining_scratch_.assign(rows, 0);
     for (std::size_t row = 0; row < num_seeds_; ++row)
@@ -1114,10 +1105,10 @@ const slot_metrics& emulator::step() {
         auto rounds_left = static_cast<std::int32_t>(rounds - r);
         for (std::size_t row = 0; row < num_seeds_; ++row)
             round_capacity_scratch_[row] =
-                (remaining_scratch_[row] + rounds_left - 1) / rounds_left;
+                round_share(remaining_scratch_[row], rounds_left);
         for (std::uint32_t row : active_viewers_)
             round_capacity_scratch_[row] =
-                (remaining_scratch_[row] + rounds_left - 1) / rounds_left;
+                round_share(remaining_scratch_[row], rounds_left);
 
         if (timed) spans_.skip();
         build_problem(round_start, r == 0, round_capacity_scratch_, profitable_only);
@@ -1142,7 +1133,6 @@ const slot_metrics& emulator::step() {
     // count, not its swarm count.
     shed_slot_memory();
     if (timed) spans_.lap(obs::phase::shed);
-    if (slot_saw_early_exit_) counters_.inc(c_delta_early_exit_);
 
     slots_.push_back(metrics);
     now_ = slot_end;

@@ -83,8 +83,6 @@ class json_line;  // obs/jsonl_sink.h
 
 namespace p2pcd::vod {
 
-enum class warm_start_mode { off, rounds, slots };
-
 struct emulator_options {
     workload::scenario_config config;
 
@@ -113,18 +111,6 @@ struct emulator_options {
     // is shared across the slot's rounds. 1 disables intra-slot re-bidding;
     // 0 is rejected at construction.
     std::size_t bid_rounds_per_slot = 5;
-
-    // Price warm starts of the "auction" scheduler. Off by default: the
-    // cold-start rounds are what the slot goldens pin.
-    //   rounds — thread each uploader's λ through the bidding rounds of one
-    //            slot (the slot stays the price cycle of Sec. IV-C, exactly
-    //            like the distributed runtime's slot_prices);
-    //            experiment_runner --warm-rounds;
-    //   slots  — also carry λ across slot boundaries, and let a solver warm-
-    //            started from a converged run collapse its ε ladder to the
-    //            target rung. Changes schedules; pinned by its own slot
-    //            goldens (bench/slot_pipeline's warm pass).
-    warm_start_mode warm_start = warm_start_mode::off;
 
     // Message-level distributed auction (Fig. 2): every bidding round of a
     // slot whose *start* lies in [distributed_from, distributed_to) runs on
@@ -446,11 +432,10 @@ private:
     // the valuation's log() shows up.
     double deadline_value(double ttl);
     // `slot_prices` carries each uploader's λ across the bidding rounds of
-    // one distributed (or warm-started auction) slot — prices reset at
-    // slot boundaries, Sec. IV-C. Dense by table row. `round` is the round
-    // ordinal within the slot, used to derive the per-round scheduler seed;
-    // `distributed` is step()'s per-slot decision to run the round on the
-    // message-level runtime.
+    // one distributed slot — prices reset at slot boundaries, Sec. IV-C.
+    // Dense by table row. `round` is the round ordinal within the slot, used
+    // to derive the per-round scheduler seed; `distributed` is step()'s
+    // per-slot decision to run the round on the message-level runtime.
     core::schedule dispatch(double round_start, double duration, std::size_t round,
                             bool distributed, slot_metrics& metrics,
                             std::vector<double>& slot_prices);
@@ -501,9 +486,9 @@ private:
 
     // Long-lived scheduler from the registry; `auction_` is the non-null
     // downcast when "auction" is selected (the richer run() API: bid
-    // diagnostics and warm-start prices, and the hand-off of slots to the
-    // distributed runtime). `exact_` is the downcast for "exact", whose
-    // simplex pivots feed the solver.pivots counter.
+    // diagnostics, and the hand-off of slots to the distributed runtime).
+    // `exact_` is the downcast for "exact", whose simplex pivots feed the
+    // solver.pivots counter.
     std::unique_ptr<core::scheduler> scheduler_;
     core::auction_solver* auction_ = nullptr;
     core::exact_scheduler* exact_ = nullptr;
@@ -544,7 +529,7 @@ private:
         g_admission_queue_;
     // Delta-pipeline counters (schema v2 additions — registered last so the
     // v1 record prefix is byte-stable).
-    obs::counter_id c_delta_dirty_, c_delta_reused_, c_delta_early_exit_;
+    obs::counter_id c_delta_dirty_, c_delta_reused_;
     // Candidates emitted, and eligible holders left out because w > v.
     obs::counter_id c_build_candidates_, c_build_pruned_;
     // Row-major num_isps × num_isps relationship class of each directed ISP
@@ -608,7 +593,6 @@ private:
     slot_problem shadow_problem_;  // delta_shadow_check rebuild target
     std::vector<std::uint32_t> delta_up_scratch_; // uploader per segment pos
     std::vector<std::uint64_t> word_scratch_;     // one neighbor's cur words
-    bool slot_saw_early_exit_ = false;  // any round's solver early-exited
 
     // Raw λ-change log from distributed slots plus the slot starts, from
     // which the representative peer's series is assembled on demand.

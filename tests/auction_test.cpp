@@ -191,7 +191,7 @@ std::unique_ptr<auction_solver> make_auction(const auction_options& o) {
 }
 
 // 60 requests over 12 uploaders of capacity capacity_min..3: contended, so
-// every rung of a scaled ladder has bidding to do.
+// evictions and price rises have work to do.
 scheduling_problem contended_instance(std::uint64_t seed, std::int32_t capacity_min = 1) {
     return workload::make_uniform_instance({.num_requests = 60,
                                             .num_uploaders = 12,
@@ -238,73 +238,17 @@ TEST(auction, request_utility_from_cost_slab_matches_derive_bit_for_bit) {
     }
 }
 
-auction_options scaled_ladder(bool early_exit) {
-    return {.bidding = {bid_policy::epsilon, 1e-3},
-            .epsilon_scaling = true,
-            .scaling_initial_epsilon = 1.0,
-            .scaling_factor = 4.0,
-            .warm_start_early_exit = early_exit};
-}
-
-// warm_start_early_exit collapses the ladder to its target rung only when
-// warm prices are given AND the previous run() converged: never for a fresh
-// solver, never on a cold start, never without it set, and with scaling off
-// there is no ladder to collapse.
-TEST(auction, early_exit_needs_warm_prices_after_a_converged_run) {
-    const auto p = contended_instance(5);
-    const std::size_t rungs = epsilon_schedule(p, 1e-3, 1.0, 4.0, true, false).size();
-    ASSERT_GT(rungs, 1u);
-    const std::vector<double> warm = make_auction({})->run(p).prices;
-
-    const auto ladder = make_auction(scaled_ladder(true));
-    const auto fresh_warm = ladder->run(p, warm);  // no previous run()
-    EXPECT_FALSE(fresh_warm.early_exited);
-    EXPECT_EQ(fresh_warm.phases_run, rungs);
-    const auto cold = ladder->run(p);  // previous run() converged
-    ASSERT_TRUE(cold.converged);
-    EXPECT_FALSE(cold.early_exited);
-    EXPECT_EQ(cold.phases_run, rungs);
-    const auto collapsed = ladder->run(p, cold.prices);
-    EXPECT_TRUE(collapsed.early_exited);
-    EXPECT_EQ(collapsed.phases_run, 1u);
-    EXPECT_TRUE(collapsed.converged);
-    (void)ladder->solve(p);  // cold, so it descends the whole ladder
-    const auto again = ladder->run(p, collapsed.prices);
-    EXPECT_TRUE(again.early_exited);
-    EXPECT_EQ(again.phases_run, 1u);
-
-    const auto unarmed = make_auction(scaled_ladder(false));
-    (void)unarmed->run(p);
-    const auto unarmed_warm = unarmed->run(p, warm);
-    EXPECT_FALSE(unarmed_warm.early_exited);
-    EXPECT_EQ(unarmed_warm.phases_run, rungs);
-
-    auction_options flat = scaled_ladder(true);
-    flat.epsilon_scaling = false;
-    const auto single = make_auction(flat);
-    (void)single->run(p);
-    const auto single_warm = single->run(p, warm);
-    EXPECT_FALSE(single_warm.early_exited);
-    EXPECT_EQ(single_warm.phases_run, 1u);
-}
-
-// solve() is a cold run()'s schedule, minus the dual recovery nobody reads:
-// with and without ε-scaling.
+// solve() is run()'s schedule, minus the dual recovery nobody reads.
 TEST(auction, solve_matches_run) {
     std::vector<scheduling_problem> instances;
     instances.push_back(workload::make_uniform_instance({.seed = 3}));
     for (std::uint64_t seed = 1; seed <= 6; ++seed)
         instances.push_back(contended_instance(seed));
-    for (const bool scaling : {false, true}) {
-        auction_options options = scaled_ladder(false);
-        options.epsilon_scaling = scaling;
-        options.adaptive_scaling = scaling;
-        for (std::size_t i = 0; i < instances.size(); ++i) {
-            const auto solver = make_auction(options);
-            const auto run_result = solver->run(instances[i]);
-            EXPECT_EQ(solver->solve(instances[i]).choice, run_result.sched.choice)
-                << "scaling " << scaling << " instance " << i;
-        }
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        const auto solver = make_auction({.bidding = {bid_policy::epsilon, 1e-3}});
+        const auto run_result = solver->run(instances[i]);
+        EXPECT_EQ(solver->solve(instances[i]).choice, run_result.sched.choice)
+            << "instance " << i;
     }
 }
 

@@ -153,21 +153,6 @@ TEST(delta_pipeline_fallback, rows_over_32_neighbors_match_full_rebuild) {
     EXPECT_GT(counter_value(checked, "build.pruned_candidates"), 0u);
 }
 
-// Cross-slot solver warm starts change schedules (they are pinned by their
-// own goldens) — but the delta-vs-reference bit-identity contract must hold
-// for that solver configuration as well, and the collapsed ε ladder must
-// actually engage.
-TEST(delta_pipeline_warm, warm_start_slots_keeps_delta_identity) {
-    emulator_options opts = churny_options(4242);
-    opts.config.horizon_seconds = 200.0;  // 20 slots
-    opts.auction.epsilon_scaling = true;  // a ladder for the warm start to collapse
-    opts.auction.adaptive_scaling = true;
-    opts.warm_start = warm_start_mode::slots;
-    emulator checked(opts);
-    step_against_unchecked_twin(checked, opts, 20);
-    EXPECT_GT(counter_value(checked, "delta.early_exit_slots"), 0u);
-}
-
 // The pruned-slab counters: economy_smoke's auction rounds leave out the
 // holders whose link cost exceeds the chunk's value, simple-locality's keep
 // them all. With one bidding round per slot, slot 0's problem has the same

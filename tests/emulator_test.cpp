@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -52,6 +54,46 @@ TEST(emulator, seeds_are_provisioned_per_isp_and_video) {
     // 5 videos × 3 ISPs × 1 seed; no viewers yet.
     EXPECT_EQ(emu.topology().num_peers(), 15u);
     EXPECT_EQ(emu.online_viewers(), 0u);
+}
+
+// Each bidding round gets ⌈remaining / rounds left⌉ of an uploader's slot
+// budget. A seed capacity of INT32_MAX (which validate() accepts) must not
+// overflow that rounding: capacity far beyond demand never binds, so it
+// schedules exactly like INT32_MAX − 4, the largest capacity whose 5-round
+// rounding term fits 32 bits.
+TEST(emulator, round_share_of_a_near_int32_max_capacity_does_not_overflow) {
+    constexpr std::int32_t top = std::numeric_limits<std::int32_t>::max();
+    auto run = [](std::int32_t seed_capacity) {
+        auto opts = small_options();
+        const auto per_slot = static_cast<double>(opts.config.chunks_per_slot());
+        double multiple = static_cast<double>(seed_capacity) / per_slot;
+        while (static_cast<std::int64_t>(multiple * per_slot) < seed_capacity)
+            multiple = std::nextafter(multiple, std::numeric_limits<double>::infinity());
+        opts.config.seed_upload_multiple = multiple;
+        auto emu = std::make_unique<emulator>(opts);
+        EXPECT_EQ(emu->peers().upload_capacity(0), seed_capacity);
+        for (int k = 0; k < 4; ++k) (void)emu->step();
+        return emu;
+    };
+    const auto at_max = run(top);
+    const auto below = run(top - 4);
+    ASSERT_EQ(at_max->slots().size(), below->slots().size());
+    for (std::size_t k = 0; k < at_max->slots().size(); ++k) {
+        EXPECT_EQ(at_max->slots()[k].transfers, below->slots()[k].transfers)
+            << "slot " << k;
+        EXPECT_EQ(at_max->slots()[k].social_welfare, below->slots()[k].social_welfare)
+            << "slot " << k;
+    }
+    const peer_table& a = at_max->peers();
+    const peer_table& b = below->peers();
+    ASSERT_EQ(a.rows(), b.rows());
+    std::uint64_t seed_uploads = 0;
+    for (std::size_t row = 0; row < a.rows(); ++row) {
+        EXPECT_EQ(a.lifetime(row).chunks_uploaded, b.lifetime(row).chunks_uploaded)
+            << "row " << row;
+        if (a.is_seed(row)) seed_uploads += a.lifetime(row).chunks_uploaded;
+    }
+    EXPECT_GT(seed_uploads, 0u);
 }
 
 TEST(emulator, static_run_produces_slot_metrics) {

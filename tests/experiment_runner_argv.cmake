@@ -7,6 +7,8 @@
 # Every value here is one the parser or a constructor must reject. A large
 # *valid* --peers, --swarms or --threads would start a real run, so none is
 # listed; the per-run timeout bounds a binary that accepts a bad value.
+# A retired flag (--warm-rounds, the centralized auction's old price warm
+# start) is an unknown flag like any other.
 if(NOT RUNNER)
     message(FATAL_ERROR "pass -DRUNNER=<path to experiment_runner>")
 endif()
@@ -26,7 +28,8 @@ set(bad_command_lines
     "--horizon inf"
     "--horizon 1e300"
     "--seed-upload 1e300"
-    "--epsilon 0 --fleet fleet_smoke")
+    "--epsilon 0 --fleet fleet_smoke"
+    "--warm-rounds")
 
 set(failures "")
 foreach(line IN LISTS bad_command_lines)

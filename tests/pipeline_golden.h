@@ -90,15 +90,6 @@ inline constexpr const golden_run_hashes* golden_for(std::string_view scenario) 
     return nullptr;
 }
 
-// Cross-slot warm starts (emulator_options::warm_start = slots: a slot's
-// final prices seed the next slot's first round, and under ε-scaling a
-// converged solver re-runs on the collapsed {target ε} ladder) change
-// schedules on purpose, so they are pinned by their own constants.
-// Captured 2026-08-09 on GCC / x86-64, default options otherwise.
-inline constexpr golden_run_hashes golden_warm_slots_economy = {
-    "economy_smoke", 0xba4895265c419f4bull, 0xb6a61c45ee985223ull,
-    0x0af3986d1cf5a356ull};
-
 // The paper's Sec. V baseline ("simple-locality", default 3 knock rounds)
 // over economy_smoke's full horizon. Captured 2026-10-18 on GCC 12 / x86-64
 // from the stable-sort implementation that the linear-time successor scan

@@ -74,31 +74,6 @@ TEST(scheduler_equivalence, auction_prices_and_bids_are_stable_across_solves) {
     }
 }
 
-TEST(scheduler_equivalence, empty_warm_start_equals_cold_start) {
-    core::auction_solver solver({.bidding = {core::bid_policy::epsilon, 1e-3}});
-    for (const auto& problem : fixed_instances()) {
-        auto cold = solver.run(problem);
-        auto warm = solver.run(problem, std::span<const double>{});
-        EXPECT_EQ(cold.sched.choice, warm.sched.choice);
-        EXPECT_EQ(cold.prices, warm.prices);
-        EXPECT_EQ(cold.bids_submitted, warm.bids_submitted);
-    }
-}
-
-TEST(scheduler_equivalence, warm_started_prices_stay_feasible_and_cheap) {
-    core::auction_solver solver({.bidding = {core::bid_policy::epsilon, 1e-3}});
-    for (const auto& problem : fixed_instances()) {
-        auto cold = solver.run(problem);
-        // Re-run seeded from the converged prices: the fixed point is stable
-        // enough that almost nobody needs to bid again.
-        auto warm = solver.run(problem, cold.prices);
-        EXPECT_TRUE(core::schedule_feasible(problem, warm.sched));
-        EXPECT_TRUE(warm.converged);
-        EXPECT_LT(warm.bids_submitted, cold.bids_submitted)
-            << "warm start should cut bids on a converged instance";
-    }
-}
-
 TEST(scheduler_equivalence, reused_builder_arena_reproduces_the_problem) {
     // clear() + rebuild must yield the same problem (and thus schedules) as a
     // fresh builder — the emulator's round arena pattern.

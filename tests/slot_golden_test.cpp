@@ -37,7 +37,6 @@ struct run_hashes {
 // Knobs a golden run may vary from the default emulator configuration.
 struct scenario_run_options {
     std::string scheduler = "auction";
-    warm_start_mode warm_start = warm_start_mode::off;
     std::size_t max_slots = 0;  // 0 = the scenario's full horizon
     bool telemetry = false;  // full pipeline: counters + spans + JSONL sink
 };
@@ -47,7 +46,6 @@ run_hashes run_scenario(const std::string& name,
     emulator_options opts;
     opts.config = workload::builtin_scenarios().make(name);
     opts.scheduler = ro.scheduler;
-    opts.warm_start = ro.warm_start;
     std::ostringstream telemetry_out;
     std::optional<obs::jsonl_sink> sink;
     if (ro.telemetry) {
@@ -134,16 +132,6 @@ TEST(slot_golden, telemetry_on_and_off_schedules_identical) {
     EXPECT_EQ(on.neighbors, off.neighbors) << "telemetry changed neighbor lists";
     EXPECT_EQ(on.metrics, off.metrics) << "telemetry changed schedules";
     EXPECT_EQ(on.final_state, off.final_state) << "telemetry changed peer state";
-}
-
-// Cross-slot warm starts intentionally change schedules (final prices seed
-// the next slot, and under ε-scaling a converged re-run collapses the
-// ladder to the target ε), so they are pinned by their own constants
-// (vod::golden_warm_slots_economy) rather than the cold-start goldens.
-TEST(slot_golden, economy_smoke_warm_slots_pinned) {
-    check_against("economy_smoke", "-WARMSLOTS", &golden_warm_slots_economy,
-                  run_scenario("economy_smoke",
-                               {.warm_start = warm_start_mode::slots}));
 }
 
 TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {

@@ -7,11 +7,6 @@
 //    gap as the optimality certificate. The corpus leans on degenerate
 //    shapes: 1–64 uploaders, zero-capacity uploaders, empty candidate rows,
 //    duplicate (request, uploader) edges.
-//  * the auction's ε-scaling ladder — at EVERY phase boundary the
-//    recorded snapshot satisfies the in-phase ε-CS invariants: assigned
-//    requests hold a margin within ε of their best and ≥ −ε, exhausted
-//    requests have no positive margin left, and any price above its phase-
-//    initial value certifies a saturated uploader.
 //  * the profitable-candidate contract — stripping every candidate with
 //    v − w < 0 leaves the auction's outcome bit-identical (the emulator
 //    builds its rounds that way), while simple-locality's schedule moves.
@@ -20,7 +15,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -176,119 +170,6 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
     }
 }
 
-// In-phase ε-CS invariants a snapshot must satisfy with the phase's own ε and
-// the phase's initial prices (phase 0 starts cold; later phases start from
-// the previous snapshot after the spare-capacity repair).
-void check_phase_boundary(const problem_view& problem,
-                          const auction_phase_snapshot& snap,
-                          const std::vector<double>& initial_prices) {
-    const std::size_t nr = problem.num_requests();
-    const std::size_t nu = problem.num_uploaders();
-    schedule sched;
-    sched.choice = snap.choice;
-    ASSERT_TRUE(schedule_feasible(problem, sched));
-
-    std::vector<std::int64_t> used(nu, 0);
-    for (std::size_t r = 0; r < nr; ++r)
-        if (snap.choice[r] != no_candidate)
-            ++used[problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])]
-                       .uploader];
-
-    for (std::size_t r = 0; r < nr; ++r) {
-        double best = -std::numeric_limits<double>::infinity();
-        for (const auto& c : problem.candidates(r)) {
-            if (problem.uploader(c.uploader).capacity == 0) continue;
-            best = std::max(best, problem.request(r).valuation - c.cost -
-                                      snap.prices[c.uploader]);
-        }
-        if (snap.choice[r] == no_candidate) {
-            // An exhausted bidder saw every margin go negative; prices only
-            // rise within a phase, so no positive margin can remain.
-            EXPECT_LE(best, tol) << "request " << r;
-        } else {
-            const auto& c =
-                problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])];
-            const double margin =
-                problem.request(r).valuation - c.cost - snap.prices[c.uploader];
-            EXPECT_GE(margin, best - snap.epsilon - tol) << "request " << r;
-            EXPECT_GE(margin, -snap.epsilon - tol) << "request " << r;
-        }
-    }
-    // A price above its phase-initial value was lifted by a full assignment
-    // set, and sets never shrink within a phase.
-    for (std::size_t u = 0; u < nu; ++u) {
-        if (problem.uploader(u).capacity == 0) continue;
-        if (snap.prices[u] > initial_prices[u] + tol) {
-            EXPECT_EQ(used[u], problem.uploader(u).capacity) << "uploader " << u;
-        }
-    }
-}
-
-// Initial prices of phase k+1 = snapshot k's prices after the spare-capacity
-// repair (mirrors the solver's inter-phase step).
-std::vector<double> repaired_prices(const problem_view& problem,
-                                    const auction_phase_snapshot& snap) {
-    const std::size_t nu = problem.num_uploaders();
-    std::vector<std::int64_t> used(nu, 0);
-    for (std::size_t r = 0; r < problem.num_requests(); ++r)
-        if (snap.choice[r] != no_candidate)
-            ++used[problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])]
-                       .uploader];
-    std::vector<double> prices = snap.prices;
-    for (std::size_t u = 0; u < nu; ++u)
-        if (used[u] < problem.uploader(u).capacity) prices[u] = 0.0;
-    return prices;
-}
-
-void run_boundary_property(auction_solver& solver) {
-    for (std::uint64_t seed = 0; seed < 12; ++seed) {
-        auto params = family_params(1);  // scarce supply forces a real ladder
-        params.seed = seed * 131 + 7;
-        auto problem = workload::make_uniform_instance(params);
-        auto result = solver.run(problem);
-        ASSERT_GE(result.phase_trace.size(), 2u)
-            << "ladder must actually descend on a contended instance";
-        EXPECT_EQ(result.phase_trace.back().choice, result.sched.choice);
-
-        std::vector<double> initial(problem.num_uploaders(), 0.0);
-        for (std::size_t k = 0; k < result.phase_trace.size(); ++k) {
-            check_phase_boundary(problem, result.phase_trace[k], initial);
-            initial = repaired_prices(problem, result.phase_trace[k]);
-        }
-    }
-}
-
-TEST(epsilon_scaling_properties, serial_phase_boundaries_satisfy_epsilon_cs) {
-    auction_solver solver({.bidding = {bid_policy::epsilon, 1e-3},
-                           .epsilon_scaling = true,
-                           .scaling_initial_epsilon = 2.0,
-                           .scaling_factor = 4.0,
-                           .record_phase_trace = true});
-    run_boundary_property(solver);
-}
-
-TEST(epsilon_scaling_properties, adaptive_ladder_tracks_contention) {
-    // Supply-rich: the adaptive ladder collapses to a single target-ε phase.
-    auto rich = family_params(2);
-    rich.seed = 5;
-    auto rich_problem = workload::make_uniform_instance(rich);
-    auction_solver adaptive({.bidding = {bid_policy::epsilon, 1e-3},
-                             .epsilon_scaling = true,
-                             .adaptive_scaling = true,
-                             .record_phase_trace = true});
-    auto rich_result = adaptive.run(rich_problem);
-    EXPECT_EQ(rich_result.phase_trace.size(), 1u);
-    EXPECT_DOUBLE_EQ(rich_result.phase_trace[0].epsilon, 1e-3);
-
-    // Scarce: the ladder opens near max(v−w)/factor and descends.
-    auto scarce = family_params(1);
-    scarce.seed = 5;
-    auto scarce_problem = workload::make_uniform_instance(scarce);
-    auto scarce_result = adaptive.run(scarce_problem);
-    EXPECT_GE(scarce_result.phase_trace.size(), 2u);
-    EXPECT_GT(scarce_result.phase_trace.front().epsilon, 1e-3);
-}
-
 // The emulator builds the auction's rounds from profitable candidates only
 // (w ≤ v). This strips every candidate with v − w < 0 from an instance,
 // keeping every request row (possibly empty) and the order of the rest.
@@ -328,29 +209,16 @@ void expect_same_outcome(const problem_view& full, const auction_result& a,
                   std::bit_cast<std::uint64_t>(b.prices[u]))
             << what << " uploader " << u;
     EXPECT_EQ(a.bids_submitted, b.bids_submitted) << what;
-    EXPECT_EQ(a.phases_run, b.phases_run) << what;
-}
-
-// Non-negative dyadic warm-start prices (k/8, up to 2), one per uploader.
-std::vector<double> warm_prices(std::size_t nu, std::uint64_t seed) {
-    sim::rng_stream rng(seed);
-    std::vector<double> prices(nu);
-    for (double& p : prices) p = static_cast<double>(rng.uniform_int(0, 16)) / 8.0;
-    return prices;
 }
 
 // A candidate with v − w < 0 has margin (v − w) − λ < 0 for every λ ≥ 0, so
 // it never wins a bid, and the outside option already floors φ̂ at 0; the
 // other candidates keep their order, so the strict-> tie-breaks pick the
 // same uploader. The auction must therefore produce the same uploaders,
-// bit-identical prices and the same counters, cold and warm-started.
+// bit-identical prices and the same counters, under either bid policy.
 TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_identical) {
-    const std::vector<std::pair<std::string, auction_options>> serial = {
+    const std::vector<std::pair<std::string, auction_options>> policies = {
         {"epsilon", {.bidding = {bid_policy::epsilon, 0.05}}},
-        {"epsilon-adaptive",
-         {.bidding = {bid_policy::epsilon, 0.05},
-          .epsilon_scaling = true,
-          .adaptive_scaling = true}},
         {"paper-literal", {.bidding = {bid_policy::paper_literal, 0.0}}},
     };
     std::size_t stripped_candidates = 0;
@@ -363,20 +231,13 @@ TEST(profitable_candidates, stripping_unprofitable_candidates_keeps_auctions_ide
         for (std::size_t r = 0; r < problem.num_requests(); ++r)
             emptied_rows += !problem.candidates(r).empty() &&
                             stripped.candidates(r).empty();
-        const auto warm = warm_prices(problem.num_uploaders(), seed + 1);
 
-        for (const auto& [name, options] : serial) {
-            for (const bool warm_start : {false, true}) {
-                auction_solver on_full(options);
-                auction_solver on_stripped(options);
-                const auto a = warm_start ? on_full.run(problem, warm)
-                                          : on_full.run(problem);
-                const auto b = warm_start ? on_stripped.run(stripped, warm)
-                                          : on_stripped.run(stripped);
-                expect_same_outcome(problem, a, stripped, b,
-                                    "auction " + name + (warm_start ? " warm" : " cold") +
-                                        " seed " + std::to_string(seed));
-            }
+        for (const auto& [name, options] : policies) {
+            auction_solver on_full(options);
+            auction_solver on_stripped(options);
+            expect_same_outcome(problem, on_full.run(problem), stripped,
+                                on_stripped.run(stripped),
+                                "auction " + name + " seed " + std::to_string(seed));
         }
     }
     EXPECT_GT(stripped_candidates, 0u) << "the corpus must hold unprofitable candidates";

@@ -750,15 +750,13 @@ TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
         if (parsed.scalars.at("kind") == "\"header\"") {
             // Registered → declared up front, after every v1-era metric.
             const std::string metrics = parsed.scalars.at("metrics");
-            for (const char* name :
-                 {"delta.dirty_rows", "delta.reused_rows",
-                  "delta.early_exit_slots"})
+            for (const char* name : {"delta.dirty_rows", "delta.reused_rows"})
                 EXPECT_GT(metrics.find(name), metrics.find("ledger.bytes_transit"))
                     << metrics;
             // The build's candidate counters append after the delta ones.
             for (const char* name : {"build.candidates", "build.pruned_candidates"}) {
                 ASSERT_NE(metrics.find(name), std::string::npos) << metrics;
-                EXPECT_GT(metrics.find(name), metrics.find("delta.early_exit_slots"))
+                EXPECT_GT(metrics.find(name), metrics.find("delta.reused_rows"))
                     << metrics;
             }
             continue;
@@ -767,7 +765,6 @@ TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
         ++slot_records;
         ASSERT_TRUE(parsed.scalars.contains("delta.dirty_rows")) << line;
         ASSERT_TRUE(parsed.scalars.contains("delta.reused_rows")) << line;
-        ASSERT_TRUE(parsed.scalars.contains("delta.early_exit_slots")) << line;
         EXPECT_GT(line.find("delta.dirty_rows"), line.find("ledger.bytes_transit"))
             << "delta columns must append after the v1 columns";
         dirty = std::max<std::uint64_t>(
